@@ -4,6 +4,11 @@ Subcommands: ``prepare`` (cluster certification), ``displace`` / ``squeeze``
 / ``cx`` (the three gates, with optional Monte-Carlo certification), and
 ``figures`` (emit the reference datasets).
 
+Every option is declared once, in :data:`FLAGS`: the parser, the config-file
+keys and types, the resolved defaults and the generic value checks all read
+it. The three gates share one runner, :func:`_run_gate`, which certifies the
+output-mode statistics, prints the report and writes the ``--out`` row.
+
 Exit codes: 0 success, 1 physics predicate unmet, 2 invalid input,
 3 certification failure, 4 I/O failure. Every run is deterministic given
 its resolved configuration, which is echoed as a JSON header line.
@@ -16,10 +21,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from .algebra import QuadExpr, rotate_quadrature
 from .analysis import (
     CurveDataset,
     fig3_dataset,
@@ -37,6 +45,8 @@ from .cluster import (
 from .gates import (
     CxParams,
     DisplacementParams,
+    GateResult,
+    ModeStats,
     SqueezerParams,
     controlled_x_gate,
     displacement_gate,
@@ -49,7 +59,6 @@ from .gates import (
 )
 from .io import format_float, write_dataset
 from .oracle import RngConfig, certify, sample_expr
-from .algebra import rotate_quadrature
 
 EXIT_OK = 0
 EXIT_UNMET = 1
@@ -66,32 +75,102 @@ class UsageError(Exception):
 
 
 # --------------------------------------------------------------------------
-# parser
+# the flag table
 # --------------------------------------------------------------------------
 
-
-def _add_output_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", default=None, help="write results to this path")
-    sp.add_argument("--format", choices=("csv", "json"), default=None,
-                    help="serialization format (default csv)")
-    sp.add_argument("--config", default=None,
-                    help="JSON config file; flags override its values")
-
-
-def _add_input_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--coherent", action="store_true", default=None,
-                    help="coherent input (unit variances)")
-    sp.add_argument("--vx", type=float, default=None, help="input amplitude variance")
-    sp.add_argument("--vy", type=float, default=None, help="input phase variance")
+COMMANDS = {
+    "prepare": "build the cluster and certify it",
+    "displace": "run the displacement gate",
+    "squeeze": "run the squeezing gate",
+    "cx": "run the controlled-X gate",
+    "figures": "emit the reference datasets",
+}
+GATES = ("displace", "squeeze", "cx")
 
 
-def _add_certify_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--certify", action="store_true", default=None,
-                    help="cross-check the analytic moments by sampling")
-    sp.add_argument("--samples", type=int, default=None,
-                    help="Monte-Carlo sample count (default 1000000)")
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"rng seed (default ${ENV_SEED} or 0)")
+@dataclass(frozen=True)
+class Flag:
+    """One option: ``--name`` on the command line, ``name`` in a config file.
+
+    ``kind`` is the value type (``bool`` for a switch). ``rule`` is a
+    predicate on a set value plus the message printed after the option when
+    it fails; ``show_default`` appends the default to the help text.
+    """
+
+    name: str
+    kind: type
+    default: object
+    help: str
+    commands: tuple[str, ...]
+    required: bool = False
+    choices: tuple = ()
+    rule: tuple[Callable[[object], bool], str] | None = None
+    show_default: bool = False
+
+    @property
+    def option(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_GRID = (lambda v: v >= 2, "must be an integer >= 2")
+
+#: Every option, in help order. A name may appear twice for disjoint
+#: commands when its meaning differs (``--grid``).
+FLAGS = (
+    Flag("r", float, None, "squeezing parameter", ("prepare", *GATES), required=True,
+         rule=(lambda v: v >= 0, "must be >= 0")),
+    Flag("s0", float, 0.0, "amplitude displacement", ("displace",)),
+    Flag("s1", float, 0.0, "phase displacement", ("displace",)),
+    Flag("g2", float, None, "residual gain on detector 3", ("displace",)),
+    Flag("g3", float, None, "residual gain on detector 4", ("displace",)),
+    Flag("optimal_gain", bool, False, "variance-minimizing residual gains", ("displace",)),
+    Flag("unity_gain", bool, False, "residual gains g2=g3=1", ("displace",)),
+    Flag("criterion", int, 99, "distinguishability criterion", ("displace",),
+         choices=(95, 99), show_default=True),
+    Flag("theta", float, None, "detection angle", ("squeeze",)),
+    Flag("tan_theta", float, None, "detection angle given as its tangent", ("squeeze",)),
+    Flag("phi", float, None, "report the output variance at this quadrature angle",
+         ("squeeze",)),
+    Flag("scan_phi", bool, False, "scan the rotated output variance over [0, pi]",
+         ("squeeze",)),
+    Flag("grid", int, 2001, "number of scan points", ("squeeze",), rule=_GRID,
+         show_default=True),
+    Flag("sc", float, 0.0, "control amplitude mean", ("cx",)),
+    Flag("st", float, 0.0, "target amplitude mean", ("cx",)),
+    Flag("grid", int, 201, "Wigner grid points per axis", ("figures",), rule=_GRID,
+         show_default=True),
+    Flag("span", float, 5.0, "Wigner grid half-width in standard deviations",
+         ("figures",), rule=_POSITIVE, show_default=True),
+    Flag("coherent", bool, False, "coherent input (unit variances)", GATES),
+    Flag("vx", float, 1.0, "input amplitude variance", GATES, rule=_POSITIVE),
+    Flag("vy", float, 1.0, "input phase variance", GATES, rule=_POSITIVE),
+    Flag("certify", bool, False, "cross-check the analytic moments by sampling", GATES),
+    Flag("samples", int, 1_000_000, "Monte-Carlo sample count", GATES,
+         rule=(lambda v: v >= 1000, "must be >= 1000"), show_default=True),
+    Flag("seed", int, None, f"rng seed (default ${ENV_SEED} or 0)", GATES,
+         rule=(lambda v: 0 <= v < 2**64, "must be an unsigned 64-bit integer")),
+    Flag("out", str, None, "write results to this path", tuple(COMMANDS)),
+    Flag("format", str, "csv", "serialization format", tuple(COMMANDS),
+         choices=("csv", "json"), show_default=True),
+)
+
+_COMMAND_FLAGS = {
+    command: tuple(flag for flag in FLAGS if command in flag.commands)
+    for command in COMMANDS
+}
+
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _fmt_value(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_fmt_value(v) for v in value) + "]"
+    return str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,84 +179,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian logic gates on a four-mode optical cluster state",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    prepare = sub.add_parser("prepare", help="build the cluster and certify it")
-    prepare.add_argument("--r", type=float, default=None, help="squeezing parameter")
-    _add_output_flags(prepare)
-
-    displace = sub.add_parser("displace", help="run the displacement gate")
-    displace.add_argument("--r", type=float, default=None, help="squeezing parameter")
-    displace.add_argument("--s0", type=float, default=None, help="amplitude displacement")
-    displace.add_argument("--s1", type=float, default=None, help="phase displacement")
-    displace.add_argument("--g2", type=float, default=None, help="residual gain on detector 3")
-    displace.add_argument("--g3", type=float, default=None, help="residual gain on detector 4")
-    displace.add_argument("--optimal-gain", action="store_true", default=None,
-                          help="variance-minimizing residual gains")
-    displace.add_argument("--unity-gain", action="store_true", default=None,
-                          help="residual gains g2=g3=1")
-    displace.add_argument("--criterion", type=int, choices=(95, 99), default=None,
-                          help="distinguishability criterion (default 99)")
-    _add_input_flags(displace)
-    _add_certify_flags(displace)
-    _add_output_flags(displace)
-
-    squeeze = sub.add_parser("squeeze", help="run the squeezing gate")
-    squeeze.add_argument("--r", type=float, default=None, help="squeezing parameter")
-    squeeze.add_argument("--theta", type=float, default=None, help="detection angle")
-    squeeze.add_argument("--tan-theta", type=float, default=None,
-                         help="detection angle given as its tangent")
-    squeeze.add_argument("--phi", type=float, default=None,
-                         help="report the output variance at this quadrature angle")
-    squeeze.add_argument("--scan-phi", action="store_true", default=None,
-                         help="scan the rotated output variance over [0, pi]")
-    squeeze.add_argument("--grid", type=int, default=None,
-                         help="number of scan points (default 2001)")
-    _add_input_flags(squeeze)
-    _add_certify_flags(squeeze)
-    _add_output_flags(squeeze)
-
-    cx = sub.add_parser("cx", help="run the controlled-X gate")
-    cx.add_argument("--r", type=float, default=None, help="squeezing parameter")
-    cx.add_argument("--sc", type=float, default=None, help="control amplitude mean")
-    cx.add_argument("--st", type=float, default=None, help="target amplitude mean")
-    _add_input_flags(cx)
-    _add_certify_flags(cx)
-    _add_output_flags(cx)
-
-    figures = sub.add_parser("figures", help="emit the reference datasets")
-    figures.add_argument("--grid", type=int, default=None,
-                         help="Wigner grid points per axis (default 201)")
-    figures.add_argument("--span", type=float, default=None,
-                         help="Wigner grid half-width in standard deviations (default 5)")
-    _add_output_flags(figures)
-
+    for command, summary in COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for flag in _COMMAND_FLAGS[command]:
+            text = flag.help
+            if flag.show_default:
+                text += f" (default {_fmt_value(flag.default)})"
+            if flag.kind is bool:
+                sp.add_argument(flag.option, action="store_true", default=None, help=text)
+            else:
+                sp.add_argument(flag.option, type=flag.kind, default=None, help=text,
+                                choices=flag.choices or None)
+        sp.add_argument("--config", default=None,
+                        help="JSON config file; flags override its values")
     return parser
-
-
-_DEFAULTS: dict[str, dict] = {
-    "prepare": {"r": None, "format": "csv", "out": None},
-    "displace": {
-        "r": None, "s0": 0.0, "s1": 0.0,
-        "g2": None, "g3": None, "optimal_gain": False, "unity_gain": False,
-        "coherent": False, "vx": 1.0, "vy": 1.0, "criterion": 99,
-        "certify": False, "samples": 1_000_000, "seed": None,
-        "format": "csv", "out": None,
-    },
-    "squeeze": {
-        "r": None, "theta": None, "tan_theta": None,
-        "phi": None, "scan_phi": False, "grid": 2001,
-        "coherent": False, "vx": 1.0, "vy": 1.0,
-        "certify": False, "samples": 1_000_000, "seed": None,
-        "format": "csv", "out": None,
-    },
-    "cx": {
-        "r": None, "sc": 0.0, "st": 0.0,
-        "coherent": False, "vx": 1.0, "vy": 1.0,
-        "certify": False, "samples": 1_000_000, "seed": None,
-        "format": "csv", "out": None,
-    },
-    "figures": {"out": "figures", "format": "csv", "grid": 201, "span": 5.0},
-}
 
 
 # --------------------------------------------------------------------------
@@ -199,80 +214,68 @@ def _load_config_file(path: str) -> dict:
     return {str(key).replace("-", "_"): value for key, value in data.items()}
 
 
-def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge hard defaults, the config file, and explicit flags (in that order)."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+def _typed(flag: Flag, value: object) -> object:
+    """A config-file value, if it has its flag's JSON type (or is an allowed null)."""
+    if value is None and flag.default is None:
+        return None
+    if isinstance(value, bool):
+        ok = flag.kind is bool
+    elif flag.kind is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, flag.kind)
+    if not ok:
+        kind = _TYPE_NAMES[flag.kind] + (" or null" if flag.default is None else "")
+        raise UsageError(f"config key {flag.name!r} must be {kind}")
+    return float(value) if flag.kind is float else value
+
+
+def _env_seed() -> int:
+    raw = os.environ.get(ENV_SEED, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"${ENV_SEED} must be an integer, got {raw!r}") from None
+
+
+def resolve_config(args: argparse.Namespace) -> dict:
+    """Merge the table defaults, the config file and explicit flags, then check.
+
+    Values from argv are typed by argparse and config-file values by
+    :func:`_typed`; every set value must then pass its flag's generic checks.
+    """
+    flags = _COMMAND_FLAGS[args.command]
+    cfg = {flag.name: flag.default for flag in flags}
+    if args.config:
         file_cfg = _load_config_file(args.config)
-        unknown = sorted(set(file_cfg) - set(defaults))
+        unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        cfg.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+        for flag in flags:
+            if flag.name in file_cfg:
+                cfg[flag.name] = _typed(flag, file_cfg[flag.name])
+    explicit = {key for key in cfg if getattr(args, key, None) is not None}
+    cfg.update({key: getattr(args, key) for key in explicit})
 
-
-def _as_float(cfg: dict, key: str) -> float:
-    try:
-        value = float(cfg[key])
-    except (TypeError, ValueError):
-        raise UsageError(f"--{key.replace('_', '-')} must be a number") from None
-    if not math.isfinite(value):
-        raise UsageError(f"--{key.replace('_', '-')} must be finite")
-    cfg[key] = value
-    return value
-
-
-def _require_r(cfg: dict) -> float:
-    if cfg.get("r") is None:
-        raise UsageError("missing required --r")
-    r = _as_float(cfg, "r")
-    if r < 0:
-        raise UsageError("--r must be >= 0")
-    return r
-
-
-def _positive(cfg: dict, key: str) -> float:
-    value = _as_float(cfg, key)
-    if value <= 0:
-        raise UsageError(f"--{key.replace('_', '-')} must be > 0")
-    return value
-
-
-def _resolve_input_state(cfg: dict, args: argparse.Namespace | None) -> None:
-    if args is not None and getattr(args, "coherent", None):
-        if getattr(args, "vx", None) is not None or getattr(args, "vy", None) is not None:
+    if cfg.get("coherent"):
+        if "coherent" in explicit and explicit & {"vx", "vy"}:
             raise UsageError("choose either --coherent or explicit --vx/--vy")
-    if cfg["coherent"]:
-        cfg["vx"] = 1.0
-        cfg["vy"] = 1.0
-    _positive(cfg, "vx")
-    _positive(cfg, "vy")
-
-
-def _resolve_certification(cfg: dict) -> None:
-    if not isinstance(cfg["samples"], int):
-        raise UsageError("--samples must be an integer")
-    if cfg["samples"] < 1000:
-        raise UsageError("--samples must be >= 1000")
-    seed = cfg.get("seed")
-    if seed is None:
-        raw = os.environ.get(ENV_SEED, "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise UsageError(f"${ENV_SEED} must be an integer, got {raw!r}") from None
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise UsageError("--seed must be an unsigned 64-bit integer")
-    cfg["seed"] = seed
-
-
-def _check_format(cfg: dict) -> None:
-    if cfg["format"] not in ("csv", "json"):
-        raise UsageError("--format must be csv or json")
+        cfg["vx"] = cfg["vy"] = 1.0
+    if "seed" in cfg and cfg["seed"] is None:
+        cfg["seed"] = _env_seed()
+    for flag in flags:
+        value = cfg[flag.name]
+        if value is None:
+            if flag.required:
+                raise UsageError(f"missing required {flag.option}")
+        elif flag.kind is float and not math.isfinite(value):
+            raise UsageError(f"{flag.option} must be finite")
+        elif flag.choices and value not in flag.choices:
+            allowed = " or ".join(str(choice) for choice in flag.choices)
+            raise UsageError(f"{flag.option} must be {allowed}")
+        elif flag.rule and not flag.rule[0](value):
+            raise UsageError(f"{flag.option} {flag.rule[1]}")
+    return cfg
 
 
 # --------------------------------------------------------------------------
@@ -280,20 +283,12 @@ def _check_format(cfg: dict) -> None:
 # --------------------------------------------------------------------------
 
 
-def _fmt_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt_value(v) for v in value) + "]"
-    return str(value)
-
-
-def _emit_report(resolved: dict, results: dict, fmt: str) -> None:
-    if fmt == "json":
+def _emit_report(command: str, cfg: dict, results: dict) -> dict:
+    """Print the config header and results; return the resolved view."""
+    resolved = {"command": command, **cfg}
+    if cfg["format"] == "json":
         print(json.dumps({"config": resolved, "results": results}, sort_keys=True))
-        return
+        return resolved
     print("# " + json.dumps(resolved, sort_keys=True))
     for key, value in results.items():
         if key == "certifications":
@@ -307,45 +302,82 @@ def _emit_report(resolved: dict, results: dict, fmt: str) -> None:
                 )
         else:
             print(f"{key}: {_fmt_value(value)}")
+    return resolved
 
 
-def _resolved_view(command: str, cfg: dict) -> dict:
-    view: dict = {"command": command}
-    for key in sorted(cfg):
-        view[key] = cfg[key]
-    return view
+#: Certified per output mode, in this order; the quadrature is the suffix.
+_STATS = tuple(field.name for field in fields(ModeStats))
 
 
-def _run_certifications(checks: list[tuple], r: float, cfg: dict) -> tuple[list[dict], bool]:
-    """checks: (name, statistic, expression, analytic value)."""
-    rows = []
-    all_passed = True
-    for index, (name, statistic, expr, analytic) in enumerate(checks):
-        rng = RngConfig(seed=(cfg["seed"] + index) % 2**64)
-        est = sample_expr(expr, r, cfg["samples"], rng)
-        res = certify(analytic, est, CERTIFY_K, statistic)
-        all_passed &= res.passed
-        rows.append({
-            "name": name,
-            "statistic": statistic,
-            "analytic": res.analytic,
-            "estimate": res.estimate,
-            "se": res.se,
-            "k_sigma": res.k_sigma,
-            "passed": res.passed,
-        })
-    return rows, all_passed
+def _run_gate(
+    command: str,
+    cfg: dict,
+    result: GateResult,
+    before: dict | None = None,
+    after: dict | None = None,
+    row: tuple[tuple[str, ...], tuple[str, ...]] = ((), ()),
+    extra: tuple[tuple[str, QuadExpr, float], ...] = (),
+    dataset: CurveDataset | None = None,
+) -> int:
+    """Certify, report and write one gate run.
 
+    The report lists ``before``, every output mode's :data:`_STATS` (keys
+    prefixed by the mode name when the gate has several) and ``after``.
+    ``--certify`` samples those statistics, mode by mode, then the
+    ``extra`` (name, expression, analytic variance) checks of the first
+    mode, with seeds ``seed + index``. ``--out`` writes ``dataset`` if
+    given, else one row: the ``row`` head columns, the statistics and the
+    tail columns, looked up in the results and then the config.
+    """
+    r = cfg["r"]
+    prefixed = len(result.stats) > 1
+    stats: dict = {}
+    checks = []
+    for name, mode_stats in result.stats.items():
+        mode = result.modes[name]
+        for stat in _STATS:
+            key = f"{name}_{stat}" if prefixed else stat
+            stats[key] = getattr(mode_stats, stat)
+            kind, axis = stat.split("_")
+            statistic = "mean" if kind == "mean" else "variance"
+            checks.append((f"{name}.{stat}", statistic, getattr(mode, axis), stats[key]))
+    first = next(iter(result.modes))
+    checks.extend((f"{first}.{stat}", "variance", expr, value) for stat, expr, value in extra)
+    results = {**(before or {}), **stats, **(after or {})}
 
-def _write_out(dataset: CurveDataset, cfg: dict, resolved: dict) -> int | None:
-    if not cfg.get("out"):
-        return None
-    try:
-        write_dataset(dataset, cfg["out"], cfg["format"], resolved)
-    except OSError as exc:
-        print(f"error: cannot write {cfg['out']}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return None
+    exit_code = EXIT_OK
+    if cfg["certify"]:
+        rows = []
+        for index, (name, statistic, expr, analytic) in enumerate(checks):
+            rng = RngConfig(seed=(cfg["seed"] + index) % 2**64)
+            res = certify(analytic, sample_expr(expr, r, cfg["samples"], rng),
+                          CERTIFY_K, statistic)
+            rows.append({
+                "name": name,
+                "statistic": statistic,
+                "analytic": res.analytic,
+                "estimate": res.estimate,
+                "se": res.se,
+                "k_sigma": res.k_sigma,
+                "passed": res.passed,
+            })
+        results["certifications"] = rows
+        results["certified"] = all(cert["passed"] for cert in rows)
+        if not results["certified"]:
+            exit_code = EXIT_CERTIFY
+    resolved = _emit_report(command, cfg, results)
+    if cfg["out"]:
+        if dataset is None:
+            columns = (*row[0], *stats, *row[1])
+            values = {**cfg, **results}
+            dataset = CurveDataset(tag=command, columns=columns,
+                                   values=np.array([[values[c] for c in columns]]), meta={})
+        try:
+            write_dataset(dataset, cfg["out"], cfg["format"], resolved)
+        except OSError as exc:
+            print(f"error: cannot write {cfg['out']}: {exc}", file=sys.stderr)
+            return EXIT_IO
+    return exit_code
 
 
 # --------------------------------------------------------------------------
@@ -356,196 +388,107 @@ def _write_out(dataset: CurveDataset, cfg: dict, resolved: dict) -> int | None:
 def cmd_prepare(cfg: dict) -> int:
     r = cfg["r"]
     cluster = build_cluster()
-    variances = nullifier_variances(cluster, r)
     report = inseparability_check(cluster, r)
-    threshold = inseparability_threshold()
     results = {
-        "nullifier_variances": list(variances),
+        "nullifier_variances": list(nullifier_variances(cluster, r)),
         "inseparability_lhs": list(report.lhs),
         "bound": report.bound,
         "satisfied": list(report.satisfied),
         "all_satisfied": report.all_satisfied,
-        "threshold_r": threshold,
+        "threshold_r": inseparability_threshold(),
     }
-    resolved = _resolved_view("prepare", cfg)
-    _emit_report(resolved, results, cfg["format"])
+    _emit_report("prepare", cfg, results)
     return EXIT_OK if report.all_satisfied else EXIT_UNMET
 
 
 def cmd_displace(cfg: dict) -> int:
+    gains = (cfg["optimal_gain"], cfg["unity_gain"],
+             cfg["g2"] is not None or cfg["g3"] is not None)
+    if sum(gains) > 1:
+        raise UsageError("choose one of --g2/--g3, --optimal-gain, --unity-gain")
+    for key in ("g2", "g3"):
+        if cfg["unity_gain"]:
+            cfg[key] = 1.0
+        elif cfg[key] is None:
+            cfg[key] = "optimal"
     r = cfg["r"]
     params = DisplacementParams(
         s0=cfg["s0"], s1=cfg["s1"], g2=cfg["g2"], g3=cfg["g3"],
         var_x=cfg["vx"], var_y=cfg["vy"],
     )
     result = displacement_gate(params, r)
-    stats = result.stats["out"]
     s0_min, s1_min = min_distinguishable_displacement(
         r, cfg["vx"], cfg["vy"], cfg["criterion"]
     )
-    results = {
-        "g2": result.meta["g2"],
-        "g3": result.meta["g3"],
-        "mean_x": stats.mean_x,
-        "mean_y": stats.mean_y,
-        "var_x": stats.var_x,
-        "var_y": stats.var_y,
-        "fidelity": identity_fidelity(r),
-        "s0_min": s0_min,
-        "s1_min": s1_min,
-    }
-    exit_code = EXIT_OK
-    if cfg["certify"]:
-        mode = result.modes["out"]
-        checks = [
-            ("out.mean_x", "mean", mode.x, stats.mean_x),
-            ("out.mean_y", "mean", mode.y, stats.mean_y),
-            ("out.var_x", "variance", mode.x, stats.var_x),
-            ("out.var_y", "variance", mode.y, stats.var_y),
-        ]
-        rows, passed = _run_certifications(checks, r, cfg)
-        results["certifications"] = rows
-        results["certified"] = passed
-        if not passed:
-            exit_code = EXIT_CERTIFY
-    resolved = _resolved_view("displace", cfg)
-    _emit_report(resolved, results, cfg["format"])
-    if cfg.get("out"):
-        columns = ("r", "s0", "s1", "g2", "g3", "mean_x", "mean_y",
-                   "var_x", "var_y", "fidelity", "s0_min", "s1_min")
-        row = [r, cfg["s0"], cfg["s1"], result.meta["g2"], result.meta["g3"],
-               stats.mean_x, stats.mean_y, stats.var_x, stats.var_y,
-               results["fidelity"], s0_min, s1_min]
-        dataset = CurveDataset(tag="displace", columns=columns,
-                               values=np.array([row]), meta={})
-        failure = _write_out(dataset, cfg, resolved)
-        if failure is not None:
-            return failure
-    return exit_code
+    return _run_gate(
+        "displace", cfg, result,
+        before={"g2": result.meta["g2"], "g3": result.meta["g3"]},
+        after={"fidelity": identity_fidelity(r), "s0_min": s0_min, "s1_min": s1_min},
+        row=(("r", "s0", "s1", "g2", "g3"), ("fidelity", "s0_min", "s1_min")),
+    )
 
 
 def cmd_squeeze(cfg: dict) -> int:
+    if cfg["theta"] is not None and cfg["tan_theta"] is not None:
+        raise UsageError("give either --theta or --tan-theta, not both")
+    if cfg["theta"] is None and cfg["tan_theta"] is None:
+        raise UsageError("missing required --theta or --tan-theta")
+    if cfg["tan_theta"] is not None:
+        cfg["theta"] = math.atan(cfg["tan_theta"])
+    else:
+        cfg["tan_theta"] = math.tan(cfg["theta"])
+    if abs(math.cos(cfg["theta"])) <= 1e-9:
+        raise UsageError("--theta too close to pi/2: feedforward rescale diverges")
     r = cfg["r"]
     params = SqueezerParams(theta=cfg["theta"], var_x=cfg["vx"], var_y=cfg["vy"])
     result = squeezer_gate(params, r)
-    stats = result.stats["out"]
-    tan_theta = result.meta["tan_theta"]
-    results = {
-        "theta": cfg["theta"],
-        "tan_theta": tan_theta,
-        "rescale": result.meta["rescale"],
-        "squeeze_parameter": result.meta["squeeze_parameter"],
-        "cross_coefficient": result.meta["cross_coefficient"],
-        "mean_x": stats.mean_x,
-        "mean_y": stats.mean_y,
-        "var_x": stats.var_x,
-        "var_y": stats.var_y,
-    }
-    phi_opt = None
-    if abs(tan_theta) >= 1e-12:
+    before = {"theta": cfg["theta"]}
+    for key in ("tan_theta", "rescale", "squeeze_parameter", "cross_coefficient"):
+        before[key] = result.meta[key]
+    after: dict = {}
+    extra = ()
+    if abs(result.meta["tan_theta"]) >= 1e-12:
         phi_opt, floor = optimal_detection_angle(cfg["theta"])
-        results["phi_opt"] = phi_opt
-        results["v_min_coherent"] = 3.0 * math.exp(-2.0 * r) + floor
-        results["threshold_r"] = squeezing_threshold(cfg["theta"])
+        after["phi_opt"] = phi_opt
+        after["v_min_coherent"] = 3.0 * math.exp(-2.0 * r) + floor
+        after["threshold_r"] = squeezing_threshold(cfg["theta"])
+        if cfg["certify"]:
+            rotated = rotate_quadrature(result.modes["out"], phi_opt)
+            extra = (("rotated_var_at_phi_opt", rotated,
+                      rotated_output_variance(params, r, phi_opt)),)
     else:
-        results["note"] = "tan(theta)=0: rotated variance has no squeezing direction"
-    if cfg.get("phi") is not None:
-        results["v_at_phi"] = rotated_output_variance(params, r, cfg["phi"])
+        after["note"] = "tan(theta)=0: rotated variance has no squeezing direction"
+    if cfg["phi"] is not None:
+        after["v_at_phi"] = rotated_output_variance(params, r, cfg["phi"])
     scan = None
     if cfg["scan_phi"]:
         phis = np.linspace(0.0, math.pi, cfg["grid"])
         vs = np.array([rotated_output_variance(params, r, p) for p in phis])
         best = int(np.argmin(vs))
-        results["scan_min_v"] = float(vs[best])
-        results["scan_min_phi"] = float(phis[best])
-        results["scan_max_v"] = float(vs.max())
+        after["scan_min_v"] = float(vs[best])
+        after["scan_min_phi"] = float(phis[best])
+        after["scan_max_v"] = float(vs.max())
         scan = CurveDataset(tag="squeeze_scan", columns=("phi", "v"),
                             values=np.column_stack((phis, vs)), meta={})
-    exit_code = EXIT_OK
-    if cfg["certify"]:
-        mode = result.modes["out"]
-        checks = [
-            ("out.mean_x", "mean", mode.x, stats.mean_x),
-            ("out.mean_y", "mean", mode.y, stats.mean_y),
-            ("out.var_x", "variance", mode.x, stats.var_x),
-            ("out.var_y", "variance", mode.y, stats.var_y),
-        ]
-        if phi_opt is not None:
-            rotated = rotate_quadrature(mode, phi_opt)
-            checks.append((
-                "out.rotated_var_at_phi_opt", "variance", rotated,
-                rotated_output_variance(params, r, phi_opt),
-            ))
-        rows, passed = _run_certifications(checks, r, cfg)
-        results["certifications"] = rows
-        results["certified"] = passed
-        if not passed:
-            exit_code = EXIT_CERTIFY
-    resolved = _resolved_view("squeeze", cfg)
-    _emit_report(resolved, results, cfg["format"])
-    if cfg.get("out"):
-        if scan is None:
-            columns = ("r", "theta", "tan_theta", "mean_x", "mean_y", "var_x", "var_y")
-            row = [r, cfg["theta"], tan_theta, stats.mean_x, stats.mean_y,
-                   stats.var_x, stats.var_y]
-            scan = CurveDataset(tag="squeeze", columns=columns,
-                                values=np.array([row]), meta={})
-        failure = _write_out(scan, cfg, resolved)
-        if failure is not None:
-            return failure
-    return exit_code
+    return _run_gate("squeeze", cfg, result, before, after,
+                     row=(("r", "theta", "tan_theta"), ()), extra=extra, dataset=scan)
 
 
 def cmd_cx(cfg: dict) -> int:
-    r = cfg["r"]
     params = CxParams(
         s_c=cfg["sc"], s_t=cfg["st"],
         var_cx=cfg["vx"], var_cy=cfg["vy"],
         var_tx=cfg["vx"], var_ty=cfg["vy"],
     )
-    result = controlled_x_gate(params, r)
-    results: dict = {}
-    for name in ("target", "control"):
-        stats = result.stats[name]
-        results[f"{name}_mean_x"] = stats.mean_x
-        results[f"{name}_mean_y"] = stats.mean_y
-        results[f"{name}_var_x"] = stats.var_x
-        results[f"{name}_var_y"] = stats.var_y
-    exit_code = EXIT_OK
-    if cfg["certify"]:
-        checks = []
-        for name in ("target", "control"):
-            mode = result.modes[name]
-            stats = result.stats[name]
-            checks.extend([
-                (f"{name}.mean_x", "mean", mode.x, stats.mean_x),
-                (f"{name}.mean_y", "mean", mode.y, stats.mean_y),
-                (f"{name}.var_x", "variance", mode.x, stats.var_x),
-                (f"{name}.var_y", "variance", mode.y, stats.var_y),
-            ])
-        rows, passed = _run_certifications(checks, r, cfg)
-        results["certifications"] = rows
-        results["certified"] = passed
-        if not passed:
-            exit_code = EXIT_CERTIFY
-    resolved = _resolved_view("cx", cfg)
-    _emit_report(resolved, results, cfg["format"])
-    if cfg.get("out"):
-        columns = tuple(
-            f"{name}_{field}" for name in ("target", "control")
-            for field in ("mean_x", "mean_y", "var_x", "var_y")
-        )
-        row = [results[c] for c in columns]
-        dataset = CurveDataset(tag="cx", columns=columns,
-                               values=np.array([row]), meta={})
-        failure = _write_out(dataset, cfg, resolved)
-        if failure is not None:
-            return failure
-    return exit_code
+    return _run_gate("cx", cfg, controlled_x_gate(params, cfg["r"]))
 
 
 def cmd_figures(cfg: dict) -> int:
-    resolved = _resolved_view("figures", cfg)
+    if cfg["out"] is None:
+        cfg["out"] = "figures"
+    if not cfg["out"]:
+        raise UsageError("--out must name a directory")
+    resolved = {"command": "figures", **cfg}
     out_dir = Path(cfg["out"])
     ext = cfg["format"]
     try:
@@ -570,94 +513,9 @@ def cmd_figures(cfg: dict) -> int:
     except OSError as exc:
         print(f"error: cannot write datasets: {exc}", file=sys.stderr)
         return EXIT_IO
-    _emit_report(resolved, {"files": written}, cfg["format"])
+    _emit_report("figures", cfg, {"files": written})
     return EXIT_OK
 
-
-# --------------------------------------------------------------------------
-# validation per command
-# --------------------------------------------------------------------------
-
-
-def _validate_prepare(cfg: dict, args: argparse.Namespace | None) -> None:
-    _require_r(cfg)
-    _check_format(cfg)
-
-
-def _validate_displace(cfg: dict, args: argparse.Namespace | None) -> None:
-    _require_r(cfg)
-    _check_format(cfg)
-    styles = (
-        int(bool(cfg["optimal_gain"]))
-        + int(bool(cfg["unity_gain"]))
-        + int(cfg["g2"] is not None or cfg["g3"] is not None)
-    )
-    if styles > 1:
-        raise UsageError("choose one of --g2/--g3, --optimal-gain, --unity-gain")
-    if cfg["unity_gain"]:
-        cfg["g2"], cfg["g3"] = 1.0, 1.0
-    elif cfg["optimal_gain"] or cfg["g2"] is None and cfg["g3"] is None:
-        cfg["g2"], cfg["g3"] = "optimal", "optimal"
-    else:
-        cfg["g2"] = _as_float(cfg, "g2") if cfg["g2"] is not None else "optimal"
-        cfg["g3"] = _as_float(cfg, "g3") if cfg["g3"] is not None else "optimal"
-    for key in ("s0", "s1"):
-        _as_float(cfg, key)
-    if cfg["criterion"] not in (95, 99):
-        raise UsageError("--criterion must be 95 or 99")
-    _resolve_input_state(cfg, args)
-    _resolve_certification(cfg)
-
-
-def _validate_squeeze(cfg: dict, args: argparse.Namespace | None) -> None:
-    _require_r(cfg)
-    _check_format(cfg)
-    if cfg["theta"] is not None and cfg["tan_theta"] is not None:
-        raise UsageError("give either --theta or --tan-theta, not both")
-    if cfg["theta"] is None and cfg["tan_theta"] is None:
-        raise UsageError("missing required --theta or --tan-theta")
-    if cfg["tan_theta"] is not None:
-        cfg["theta"] = math.atan(_as_float(cfg, "tan_theta"))
-    else:
-        _as_float(cfg, "theta")
-        cfg["tan_theta"] = math.tan(cfg["theta"])
-    if abs(math.cos(cfg["theta"])) <= 1e-9:
-        raise UsageError("--theta too close to pi/2: feedforward rescale diverges")
-    if cfg.get("phi") is not None:
-        _as_float(cfg, "phi")
-    if not isinstance(cfg["grid"], int) or cfg["grid"] < 2:
-        raise UsageError("--grid must be an integer >= 2")
-    _resolve_input_state(cfg, args)
-    _resolve_certification(cfg)
-
-
-def _validate_cx(cfg: dict, args: argparse.Namespace | None) -> None:
-    _require_r(cfg)
-    _check_format(cfg)
-    for key in ("sc", "st"):
-        _as_float(cfg, key)
-    _resolve_input_state(cfg, args)
-    _resolve_certification(cfg)
-
-
-def _validate_figures(cfg: dict, args: argparse.Namespace | None) -> None:
-    _check_format(cfg)
-    if not isinstance(cfg["grid"], int) or cfg["grid"] < 2:
-        raise UsageError("--grid must be an integer >= 2")
-    span = _as_float(cfg, "span")
-    if span <= 0:
-        raise UsageError("--span must be > 0")
-    if not cfg["out"]:
-        raise UsageError("--out must name a directory")
-
-
-_VALIDATORS = {
-    "prepare": _validate_prepare,
-    "displace": _validate_displace,
-    "squeeze": _validate_squeeze,
-    "cx": _validate_cx,
-    "figures": _validate_figures,
-}
 
 _COMMANDS = {
     "prepare": cmd_prepare,
@@ -673,18 +531,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return EXIT_OK
-        return EXIT_USAGE
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        cfg = resolve_config(args, _DEFAULTS[args.command])
-        _VALIDATORS[args.command](cfg, args)
-        return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        return _COMMANDS[args.command](resolve_config(args))
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
