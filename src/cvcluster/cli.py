@@ -344,6 +344,9 @@ def _run_gate(
     first = next(iter(result.modes))
     checks.extend((f"{first}.{stat}", "variance", expr, value) for stat, expr, value in extra)
     results = {**(before or {}), **stats, **(after or {})}
+    for key, value in results.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"inputs out of range: {key} is not finite")
 
     exit_code = EXIT_OK
     if cfg["certify"]:
@@ -535,8 +538,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](resolve_config(args))
     except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        message = str(exc)
+    except OverflowError as exc:
+        message = f"inputs out of range: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def entrypoint() -> None:

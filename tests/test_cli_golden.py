@@ -147,6 +147,34 @@ CASES = [
     case("bad-figures-span", "figures", "--grid", "5", "--span", "0"),
     case("bad-figures-out-empty", "figures", "--grid", "5", "--out", ""),
     case("bad-config-r-missing", "cx", "--config", "cfg.json", setup=config({"sc": 1})),
+    # overflowing inputs exit 2 before anything is printed
+    case("overflow-r400", "displace", "--r", "400"),
+    case("overflow-r400-unity-gain", "displace", "--r", "400", "--unity-gain"),
+    case("overflow-r1e300", "displace", "--r", "1e300"),
+    case("overflow-g2", "displace", "--r", "1", "--g2", "1e300"),
+    case("overflow-g2-out", "displace", "--r", "1", "--g2", "1e300", "--out", "d.csv"),
+    case("overflow-cx-vx", "cx", "--r", "1", "--vx", "1e308"),
+    # config values must have their flag's JSON type
+    case("config-out-number", "displace", "--config", "cfg.json",
+         setup=config({"r": 1, "out": 5})),
+    case("config-r-bool", "prepare", "--config", "cfg.json", setup=config({"r": True})),
+    case("config-r-string", "prepare", "--config", "cfg.json", setup=config({"r": "1.5"})),
+    case("config-seed-bool", "displace", "--r", "1", "--certify", "--samples", "2000",
+         "--config", "cfg.json", setup=config({"seed": True})),
+    case("config-switch-string", "displace", "--r", "1", "--config", "cfg.json",
+         setup=config({"coherent": "no"})),
+    case("config-criterion-float", "displace", "--r", "1", "--config", "cfg.json",
+         setup=config({"criterion": 99.0})),
+    case("config-samples-float", "cx", "--r", "1", "--config", "cfg.json",
+         setup=config({"samples": 20000.0})),
+    case("config-grid-string", "figures", "--config", "cfg.json",
+         setup=config({"grid": "many"})),
+    case("config-format-list", "cx", "--r", "1", "--config", "cfg.json",
+         setup=config({"format": ["json"]})),
+    case("config-vx-null", "cx", "--r", "1", "--config", "cfg.json",
+         setup=config({"vx": None})),
+    case("config-g2-null", "displace", "--r", "1", "--config", "cfg.json",
+         setup=config({"g2": None, "g3": 0.5})),
 ]
 
 
