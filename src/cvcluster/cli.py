@@ -150,7 +150,7 @@ FLAGS = (
          rule=(lambda v: v >= 1000, "must be >= 1000"), show_default=True),
     Flag("seed", int, None, f"rng seed (default ${ENV_SEED} or 0)", GATES,
          rule=(lambda v: 0 <= v < 2**64, "must be an unsigned 64-bit integer")),
-    Flag("out", str, None, "write results to this path", tuple(COMMANDS)),
+    Flag("out", str, None, "write results to this path", (*GATES, "figures")),
     Flag("format", str, "csv", "serialization format", tuple(COMMANDS),
          choices=("csv", "json"), show_default=True),
 )

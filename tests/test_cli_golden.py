@@ -175,6 +175,10 @@ CASES = [
          setup=config({"vx": None})),
     case("config-g2-null", "displace", "--r", "1", "--config", "cfg.json",
          setup=config({"g2": None, "g3": 0.5})),
+    # prepare writes no file, so it takes no --out
+    case("prepare-out-flag", "prepare", "--r", "1", "--out", "p.csv"),
+    case("prepare-out-key", "prepare", "--config", "cfg.json",
+         setup=config({"r": 1, "out": "p.csv"})),
 ]
 
 
