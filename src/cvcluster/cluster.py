@@ -176,22 +176,12 @@ def inseparability_check(cluster: ClusterState, r: float) -> InseparabilityRepor
                                 satisfied=satisfied, margin=margin)
 
 
-def inseparability_threshold(tol: float = 1e-9) -> float:
-    """Smallest squeezing at which all three conditions hold, by bisection."""
-    cluster = build_cluster()
+def inseparability_threshold() -> float:
+    """Smallest squeezing at which all three conditions hold.
 
-    def ok(r: float) -> bool:
-        return inseparability_check(cluster, r).all_satisfied
-
-    lo, hi = 0.0, 2.0
-    if ok(lo):
-        return lo
-    if not ok(hi):
-        raise RuntimeError("no inseparability threshold below r=2")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    Every nullifier is built from quiet seeds only, so each pair sum is its
+    r=0 value times e^{-2r}. All three hold once the largest sum drops below
+    the bound: r* = ln(max lhs(0) / bound) / 2, or 0 if they hold at r=0.
+    """
+    report = inseparability_check(build_cluster(), 0.0)
+    return max(0.0, 0.5 * math.log(max(report.lhs) / report.bound))

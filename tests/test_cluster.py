@@ -99,6 +99,17 @@ class TestInseparability:
         assert got == pytest.approx(analytic, abs=1e-8)
         assert got == pytest.approx(0.20273, abs=1e-5)
 
+    def test_threshold_matches_bisection(self, cluster):
+        def ok(r):
+            return inseparability_check(cluster, r).all_satisfied
+
+        lo, hi = 0.0, 2.0
+        assert not ok(lo) and ok(hi)
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+        assert inseparability_threshold() == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+
     def test_threshold_separates(self, cluster):
         thr = inseparability_threshold()
         assert inseparability_check(cluster, thr + 0.01).all_satisfied
