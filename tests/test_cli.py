@@ -280,45 +280,3 @@ class TestMalformedInputs:
     def test_theta_at_pole(self, capsys):
         code, _, err = run(capsys, "squeeze", "--r", "1", "--theta", str(math.pi / 2))
         assert code == 2
-
-
-class TestRejectedBeforeOutput:
-    """Overflowing inputs and mistyped config values exit 2 with one error line."""
-
-    ARGV = [
-        ("displace", "--r", "400"),
-        ("displace", "--r", "400", "--unity-gain"),
-        ("displace", "--r", "1e300"),
-        ("displace", "--r", "1", "--g2", "1e300"),
-        ("displace", "--r", "1", "--g2", "1e300", "--out", "d.csv"),
-    ]
-    CONFIGS = [
-        {"r": 1, "out": 5},
-        {"r": 1, "seed": True},
-        {"r": 1, "coherent": "no"},
-        {"r": True},
-        {"r": "1.5"},
-        {"r": 1, "criterion": 99.0},
-    ]
-
-    def _check(self, capsys, tmp_path, monkeypatch, argv):
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert list(tmp_path.glob("*.csv")) == []
-
-    @pytest.mark.parametrize("argv", ARGV)
-    def test_argv(self, capsys, tmp_path, monkeypatch, argv):
-        self._check(capsys, tmp_path, monkeypatch, argv)
-
-    @pytest.mark.parametrize("data", CONFIGS)
-    def test_config(self, capsys, tmp_path, monkeypatch, data):
-        (tmp_path / "cfg.json").write_text(json.dumps(data))
-        self._check(capsys, tmp_path, monkeypatch, ("displace", "--config", "cfg.json"))
-
-    def test_null_allowed_where_default_is_null(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"r": 1, "g2": None, "seed": None}))
-        code, _, _ = run(capsys, "displace", "--config", str(cfg))
-        assert code == 0
