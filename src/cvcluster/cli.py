@@ -67,6 +67,7 @@ EXIT_CERTIFY = 3
 EXIT_IO = 4
 
 ENV_SEED = "CVCLUSTER_SEED"
+SEED_FALLBACK = 0
 CERTIFY_K = 4.0
 
 
@@ -148,7 +149,7 @@ FLAGS = (
     Flag("certify", bool, False, "cross-check the analytic moments by sampling", GATES),
     Flag("samples", int, 1_000_000, "Monte-Carlo sample count", GATES,
          rule=(lambda v: v >= 1000, "must be >= 1000"), show_default=True),
-    Flag("seed", int, None, f"rng seed (default ${ENV_SEED} or 0)", GATES,
+    Flag("seed", int, None, f"rng seed (default ${ENV_SEED} or {SEED_FALLBACK})", GATES,
          rule=(lambda v: 0 <= v < 2**64, "must be an unsigned 64-bit integer")),
     Flag("out", str, None, "write results to this path", (*GATES, "figures")),
     Flag("format", str, "csv", "serialization format", tuple(COMMANDS),
@@ -231,7 +232,7 @@ def _typed(flag: Flag, value: object) -> object:
 
 
 def _env_seed() -> int:
-    raw = os.environ.get(ENV_SEED, "0")
+    raw = os.environ.get(ENV_SEED, str(SEED_FALLBACK))
     try:
         return int(raw)
     except ValueError:
