@@ -68,7 +68,9 @@ def wigner(moments: GaussianMoments, x_grid: np.ndarray, y_grid: np.ndarray) -> 
 
     Returns ``W[i, j] = W(x_grid[i], y_grid[j])`` with the normalization
     ``W = exp(-(v-mu)^T cov^{-1} (v-mu) / 2) / (2 pi sqrt(det cov))``, so a
-    vacuum state peaks at ``1/(2 pi)`` and the grid integral is 1.
+    vacuum state peaks at ``1/(2 pi)`` and the grid integral is 1. Raises
+    ``OverflowError`` when the quadratic form overflows on the grid, instead
+    of returning zeros there.
     """
     x = np.asarray(x_grid, dtype=float)
     y = np.asarray(y_grid, dtype=float)
@@ -84,9 +86,12 @@ def wigner(moments: GaussianMoments, x_grid: np.ndarray, y_grid: np.ndarray) -> 
     inv00 = cov[1, 1] / det
     inv11 = cov[0, 0] / det
     inv01 = -cov[0, 1] / det
-    dx = (x - moments.mean[0])[:, None]
-    dy = (y - moments.mean[1])[None, :]
-    quad = inv00 * dx * dx + 2.0 * inv01 * dx * dy + inv11 * dy * dy
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = (x - moments.mean[0])[:, None]
+        dy = (y - moments.mean[1])[None, :]
+        quad = inv00 * dx * dx + 2.0 * inv01 * dx * dy + inv11 * dy * dy
+    if not np.all(np.isfinite(quad)):
+        raise OverflowError("Wigner quadratic form is not finite")
     return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 
@@ -218,6 +223,8 @@ def fig6_dataset(
 
 def _centered_grid(mean: float, var: float, points: int, span: float) -> np.ndarray:
     half = span * math.sqrt(var)
+    if not math.isfinite((mean + half) - (mean - half)):
+        raise OverflowError("Wigner grid width is not finite")
     return np.linspace(mean - half, mean + half, points)
 
 

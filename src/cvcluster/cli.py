@@ -247,19 +247,18 @@ def resolve_config(args: argparse.Namespace) -> dict:
     """
     flags = _COMMAND_FLAGS[args.command]
     cfg = {flag.name: flag.default for flag in flags}
-    if args.config:
-        file_cfg = _load_config_file(args.config)
-        unknown = sorted(set(file_cfg) - set(cfg))
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        for flag in flags:
-            if flag.name in file_cfg:
-                cfg[flag.name] = _typed(flag, file_cfg[flag.name])
+    file_cfg = _load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_cfg) - set(cfg))
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    for flag in flags:
+        if flag.name in file_cfg:
+            cfg[flag.name] = _typed(flag, file_cfg[flag.name])
     explicit = {key for key in cfg if getattr(args, key, None) is not None}
     cfg.update({key: getattr(args, key) for key in explicit})
 
     if cfg.get("coherent"):
-        if "coherent" in explicit and explicit & {"vx", "vy"}:
+        if (explicit | set(file_cfg)) & {"vx", "vy"}:
             raise UsageError("choose either --coherent or explicit --vx/--vy")
         cfg["vx"] = cfg["vy"] = 1.0
     if "seed" in cfg and cfg["seed"] is None:
@@ -495,11 +494,6 @@ def cmd_figures(cfg: dict) -> int:
     resolved = {"command": "figures", **cfg}
     out_dir = Path(cfg["out"])
     ext = cfg["format"]
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_IO
     datasets = {
         "fig3": fig3_dataset(np.linspace(0.0, 2.0, 41), np.linspace(0.0, 2.0, 41)),
         "fig4": fig4_dataset(np.linspace(0.0, 5.0, 100)),
@@ -508,6 +502,11 @@ def cmd_figures(cfg: dict) -> int:
     }
     for name, panel in fig8_dataset(grid_points=cfg["grid"], span=cfg["span"]).items():
         datasets[f"fig8_{name}"] = panel
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_IO
     written = []
     try:
         for name, dataset in datasets.items():

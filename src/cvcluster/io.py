@@ -4,14 +4,25 @@ CSV files start with a single ``#``-prefixed line holding the fully
 resolved configuration as JSON, then a header row and one data row per
 sample. Floats are written with 17 significant digits so files round-trip
 exactly and repeated runs are byte-identical.
+
+CSV rows are encoded in bulk: each distinct float (by bit pattern, so
+``-0.0`` and ``0.0`` stay apart) is formatted once, and rows are joined
+and written ``_CHUNK_ROWS`` at a time, so a large dataset never exists as
+one string on its way to disk.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .analysis import CurveDataset
+
+_CHUNK_ROWS = 4096
 
 
 def format_float(value: float) -> str:
@@ -26,12 +37,29 @@ def _header_config(dataset: CurveDataset, config: dict | None) -> dict:
     return merged
 
 
+def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[str]:
+    """The CSV text in pieces: the two header lines, then blocks of rows.
+
+    The header and the table of formatted floats are built before this
+    returns, so an encoding error surfaces before any file is opened.
+    """
+    header = ("# " + json.dumps(_header_config(dataset, config), sort_keys=True) + "\n"
+              + ",".join(dataset.columns) + "\n")
+    values = dataset.values
+    bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    table = np.array([format_float(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = inverse.reshape(values.shape)
+
+    def rows() -> Iterator[str]:
+        for start in range(0, len(cells), _CHUNK_ROWS):
+            block = table[cells[start:start + _CHUNK_ROWS]].tolist()
+            yield "\n".join(map(",".join, block)) + "\n"
+
+    return itertools.chain((header,), rows())
+
+
 def dataset_to_csv(dataset: CurveDataset, config: dict | None = None) -> str:
-    lines = ["# " + json.dumps(_header_config(dataset, config), sort_keys=True)]
-    lines.append(",".join(dataset.columns))
-    for row in dataset.values:
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_blocks(dataset, config))
 
 
 def dataset_to_json(dataset: CurveDataset, config: dict | None = None) -> str:
@@ -39,7 +67,7 @@ def dataset_to_json(dataset: CurveDataset, config: dict | None = None) -> str:
         "config": _header_config(dataset, config),
         "tag": dataset.tag,
         "columns": list(dataset.columns),
-        "rows": [[float(v) for v in row] for row in dataset.values],
+        "rows": dataset.values.tolist(),
     }
     return json.dumps(doc, sort_keys=True) + "\n"
 
@@ -52,11 +80,12 @@ def write_dataset(
 ) -> Path:
     """Serialize a dataset to ``path``; returns the written path."""
     if fmt == "csv":
-        text = dataset_to_csv(dataset, config)
+        blocks: Iterable[str] = _csv_blocks(dataset, config)
     elif fmt == "json":
-        text = dataset_to_json(dataset, config)
+        blocks = (dataset_to_json(dataset, config),)
     else:
         raise ValueError("fmt must be 'csv' or 'json'")
     target = Path(path)
-    target.write_text(text, encoding="utf-8")
+    with target.open("w", encoding="utf-8") as handle:
+        handle.writelines(blocks)
     return target

@@ -1,6 +1,7 @@
 """Wigner evaluation and the emitted curve datasets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ class TestWigner:
             GaussianMoments(shift, np.eye(2)), base + shift[0], base + shift[1]
         )
         assert np.max(np.abs(w0 - w1)) < 1e-12
+
+    @pytest.mark.parametrize("extent", [1e160, 1e300])
+    def test_overflowing_quadratic_form(self, extent):
+        g = np.array([-extent, 0.0, extent])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                wigner(vacuum_moments(), g, g)
+
+    def test_overflowing_grid_width(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                fig8_dataset(grid_points=5, span=1.7e308)
 
     def test_grid_validation(self):
         m = vacuum_moments()

@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: reports, exit codes, config merge, determinism."""
 
+import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
 import cvcluster.cli as cli
 from cvcluster.oracle import CertifyResult
+
+GOLDEN_FIGURES = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def run(capsys, *argv):
@@ -233,6 +237,21 @@ class TestOutputs:
         second = {p.name: p.read_bytes() for p in target.iterdir()}
         assert first == second
 
+    @pytest.mark.parametrize("variant,argv", [
+        ("grid41-csv", ("--grid", "41")),
+        ("grid41-json", ("--grid", "41", "--format", "json")),
+    ])
+    def test_figures_match_golden_digests(self, capsys, tmp_path, monkeypatch, variant, argv):
+        # the benchmark's recorded digests; its default output directory is
+        # relative, so the config header does not depend on tmp_path
+        golden = json.loads(GOLDEN_FIGURES.read_text(encoding="utf-8"))[variant]
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "figures", *argv)
+        assert code == 0
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / "figures").iterdir()}
+        assert got == golden
+
     def test_figures_json_format(self, capsys, tmp_path):
         target = tmp_path / "figs"
         code, out, _ = run(
@@ -272,6 +291,18 @@ class TestMalformedInputs:
         code, _, err = run(capsys, "figures", "--out", str(blocker / "sub"))
         assert code == 4
         assert "cannot" in err
+
+    @pytest.mark.parametrize("span", ["1e300", "1.7e308"])
+    def test_overflowing_span(self, capsys, tmp_path, span):
+        target = tmp_path / "figs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "figures", "--grid", "5", "--span", span,
+                                 "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: inputs out of range: ")
+        assert not target.exists()
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "explode")

@@ -179,6 +179,16 @@ CASES = [
     case("prepare-out-flag", "prepare", "--r", "1", "--out", "p.csv"),
     case("prepare-out-key", "prepare", "--config", "cfg.json",
          setup=config({"r": 1, "out": "p.csv"})),
+    # coherent input conflicts with a set --vx/--vy wherever either comes from
+    case("coherent-config-vx-argv", "cx", "--r", "1", "--vx", "2", "--config", "cfg.json",
+         setup=config({"coherent": True})),
+    case("coherent-config-vy-config", "cx", "--config", "cfg.json",
+         setup=config({"r": 1, "coherent": True, "vy": 0.5})),
+    case("coherent-argv-vx-config", "displace", "--r", "1", "--coherent",
+         "--config", "cfg.json", setup=config({"vx": 2})),
+    # a Wigner grid or quadratic form that overflows is out of range
+    case("overflow-figures-span", "figures", "--grid", "5", "--span", "1e300"),
+    case("overflow-figures-span-grid", "figures", "--grid", "5", "--span", "1.7e308"),
 ]
 
 

@@ -4,12 +4,17 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cvcluster import CurveDataset, format_float, write_dataset
-from cvcluster.io import dataset_to_csv, dataset_to_json
+from cvcluster.io import _CHUNK_ROWS, _header_config, dataset_to_csv, dataset_to_json
 
 
 @pytest.fixture
@@ -47,6 +52,64 @@ class TestCsv:
         text = dataset_to_csv(dataset, {"zz": 1, "aa": 2})
         header_line = text.splitlines()[0][2:]
         assert header_line == json.dumps(json.loads(header_line), sort_keys=True)
+
+
+def reference_csv(dataset, config=None):
+    """The per-float encoder: one ``format_float`` call for every entry."""
+    lines = ["# " + json.dumps(_header_config(dataset, config), sort_keys=True)]
+    lines.append(",".join(dataset.columns))
+    for row in dataset.values:
+        lines.append(",".join(format_float(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+#: Signed zeros, subnormals, the extremes and values whose digits run long.
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                  1e308, -1e308, 1.7976931348623157e308, 1.0, -1.0, 1.0 / 3.0, 0.1)
+FINITE = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def value_arrays(draw):
+    """Arrays of 1-30 rows and 1-4 columns, often repetitive or strided."""
+    rows = draw(st.integers(1, 30))
+    cols = draw(st.integers(1, 4))
+    pool = draw(st.lists(FINITE, min_size=1, max_size=4))
+    elements = draw(st.sampled_from((FINITE, st.sampled_from(pool))))
+    full = draw(hnp.arrays(np.float64, (rows, 2 * cols), elements=elements))
+    return full[:, ::2] if draw(st.booleans()) else full[:, :cols]
+
+
+class TestCsvEncoder:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(value_arrays())
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]]))
+    @example(np.array([[5e-324, -1e308, 1e308, 0.0, -0.0, 1.0 / 3.0]]))
+    @example(np.array([[0.0], [-0.0], [5e-324], [1e308], [0.0]]))
+    @example(np.arange(24.0).reshape(4, 6)[:, 1::2])
+    def test_matches_per_float_encoder(self, values):
+        dataset = CurveDataset(tag="t", columns=tuple(f"c{i}" for i in range(values.shape[1])),
+                               values=values, meta={"m": 1})
+        text = dataset_to_csv(dataset, {"k": 2})
+        assert text == reference_csv(dataset, {"k": 2})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_dataset(dataset, Path(tmp) / "d.csv", "csv", {"k": 2})
+            assert path.read_bytes() == text.encode()
+
+    def test_blocks_join_seamlessly(self, tmp_path):
+        rng = np.random.default_rng(7)
+        values = rng.choice(rng.normal(size=500), size=(2 * _CHUNK_ROWS + 3, 3))
+        values[::5, 1] = -0.0
+        dataset = CurveDataset(tag="t", columns=("a", "b", "c"), values=values)
+        text = dataset_to_csv(dataset)
+        assert text == reference_csv(dataset)
+        path = write_dataset(dataset, tmp_path / "d.csv", "csv")
+        assert path.read_bytes() == text.encode()
+
+    def test_empty_dataset(self):
+        dataset = CurveDataset(tag="t", columns=("a", "b"), values=np.empty((0, 2)))
+        assert dataset_to_csv(dataset) == reference_csv(dataset)
 
 
 class TestJson:
