@@ -58,7 +58,7 @@ from .gates import (
     squeezing_threshold,
 )
 from .io import format_float, write_dataset
-from .oracle import RngConfig, certify, sample_expr
+from .oracle import RngConfig, certify, sample_exprs
 
 EXIT_OK = 0
 EXIT_UNMET = 1
@@ -323,9 +323,10 @@ def _run_gate(
 
     The report lists ``before``, every output mode's :data:`_STATS` (keys
     prefixed by the mode name when the gate has several) and ``after``.
-    ``--certify`` samples those statistics, mode by mode, then the
+    ``--certify`` checks those statistics, mode by mode, then the
     ``extra`` (name, expression, analytic variance) checks of the first
-    mode, with seeds ``seed + index``. ``--out`` writes ``dataset`` if
+    mode, all estimated from one joint draw of the gate's seeds with seed
+    ``seed``. ``--out`` writes ``dataset`` if
     given, else one row: the ``row`` head columns, the statistics and the
     tail columns, looked up in the results and then the config.
     """
@@ -350,11 +351,12 @@ def _run_gate(
 
     exit_code = EXIT_OK
     if cfg["certify"]:
+        distinct = list({id(expr): expr for _, _, expr, _ in checks}.values())
+        samples = sample_exprs(distinct, r, cfg["samples"], RngConfig(seed=cfg["seed"]))
+        estimates = {id(expr): est for expr, est in zip(distinct, samples)}
         rows = []
-        for index, (name, statistic, expr, analytic) in enumerate(checks):
-            rng = RngConfig(seed=(cfg["seed"] + index) % 2**64)
-            res = certify(analytic, sample_expr(expr, r, cfg["samples"], rng),
-                          CERTIFY_K, statistic)
+        for name, statistic, expr, analytic in checks:
+            res = certify(analytic, estimates[id(expr)], CERTIFY_K, statistic)
             rows.append({
                 "name": name,
                 "statistic": statistic,

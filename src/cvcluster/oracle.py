@@ -2,14 +2,15 @@
 
 Two routes that share no code with the expression algebra:
 
-* :func:`sample_expr` draws every seed of an expression from its Gaussian
-  law and evaluates the expression sample by sample, giving Monte-Carlo
-  estimates with standard errors;
+* :func:`sample_exprs` draws every seed of a set of expressions once from
+  its Gaussian law and evaluates each expression sample by sample, giving
+  Monte-Carlo estimates with standard errors;
 * :func:`covariance_propagate` pushes the 8x8 source covariance matrix
   through the preparation network as explicit symplectic matrices.
 
-Sampling is split into counter-keyed substreams so estimates depend only on
-(seed, stream layout), never on how the work is scheduled.
+Sampling is split into counter-keyed substreams and fixed-size blocks, so
+estimates depend only on (seed, stream layout, block size), never on how the
+work is scheduled.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Axis, QuadExpr, squeezed_variance
+from .algebra import Axis, Key, QuadExpr, squeezed_variance
 from .cluster import SOURCE_KINDS, BeamsplitterSpec
 
 _MAX_SEED = 2**64
+
+#: Samples drawn per seed and substream at a time. Estimates depend on it.
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -57,53 +61,99 @@ def _chunk_sizes(n: int, streams: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(streams)]
 
 
-def sample_expr(
-    expr: QuadExpr,
+def _seed_order(key: Key) -> tuple[str, str]:
+    return key[0], key[1].value
+
+
+def sample_exprs(
+    exprs: Sequence[QuadExpr],
     r: float,
     n: int,
     rng: RngConfig = RngConfig(),
-) -> SampleEstimate:
-    """Estimate an expression's mean and variance from n Gaussian samples.
+) -> list[SampleEstimate]:
+    """Estimate several expressions' means and variances from n joint samples.
 
-    Each substream i draws from ``default_rng(SeedSequence([seed, i]))``, so
-    two calls with the same configuration are bit-identical regardless of
-    scheduling. The variance standard error uses the normal-theory formula
+    Every seed of the expressions, which must share one registry, is drawn
+    once per sample and shared by all of them. Substream i draws from
+    ``default_rng(SeedSequence([seed, i]))`` in blocks of :data:`BLOCK`
+    samples, each seed in ``(id, axis)`` order, into buffers whose size does
+    not depend on n. Each expression is summed elementwise term by term, and
+    the block means and M2 are merged in block order (Chan, Golub and
+    LeVeque, 1979). An estimate therefore depends only on (seed,
+    stream_count), :data:`BLOCK` and the set of seeds in the call, never on
+    scheduling, the BLAS build, or the order or repetition of ``exprs``. The
+    variance standard error uses the normal-theory formula
     ``var * sqrt(2/(n-1))``.
     """
     if n < 1000:
         raise ValueError("need at least 1000 samples")
     if r < 0:
         raise ValueError("squeezing parameter r must be >= 0")
-    keys = sorted(expr.terms, key=lambda k: (k[0], k[1].value))
-    laws = []
-    for key in keys:
-        seed = expr.registry.seed(*key)
-        laws.append((expr.terms[key], seed.mean, math.sqrt(seed.variance_at(r))))
+    if not exprs:
+        return []
+    registry = exprs[0].registry
+    if any(expr.registry is not registry for expr in exprs):
+        raise ValueError("seed registry mismatch")
+    keys = sorted({key for expr in exprs for key in expr.terms}, key=_seed_order)
+    laws = [(seed.mean, math.sqrt(seed.variance_at(r)))
+            for seed in (registry.seed(*key) for key in keys)]
+    row = {key: j for j, key in enumerate(keys)}
+    plans = [
+        (expr.constant,
+         [(row[key], expr.terms[key]) for key in sorted(expr.terms, key=_seed_order)])
+        for expr in exprs
+    ]
 
+    draws = np.empty((len(keys), BLOCK))
+    values = np.empty(BLOCK)
+    work = np.empty(BLOCK)
+    moments = [(0.0, 0.0)] * len(exprs)
     total_n = 0
-    mean = 0.0
-    m2 = 0.0
     for i, size in enumerate(_chunk_sizes(n, rng.stream_count)):
         gen = np.random.default_rng(np.random.SeedSequence([rng.seed, i]))
-        values = np.full(size, expr.constant)
-        for coeff, seed_mean, seed_sd, in laws:
-            values += coeff * gen.normal(seed_mean, seed_sd, size)
-        chunk_mean = float(values.mean())
-        chunk_m2 = float(((values - chunk_mean) ** 2).sum())
-        delta = chunk_mean - mean
-        merged = total_n + size
-        mean += delta * size / merged
-        m2 += chunk_m2 + delta * delta * total_n * size / merged
-        total_n = merged
+        for start in range(0, size, BLOCK):
+            m = min(BLOCK, size - start)
+            for draw, (seed_mean, seed_sd) in zip(draws, laws):
+                gen.standard_normal(out=draw[:m])
+                draw[:m] *= seed_sd
+                draw[:m] += seed_mean
+            block, tmp = values[:m], work[:m]
+            merged = total_n + m
+            for k, (constant, terms) in enumerate(plans):
+                block.fill(constant)
+                for j, coeff in terms:
+                    np.multiply(draws[j, :m], coeff, out=tmp)
+                    block += tmp
+                block_mean = float(block.mean())
+                np.subtract(block, block_mean, out=tmp)
+                tmp *= tmp
+                mean, m2 = moments[k]
+                delta = block_mean - mean
+                moments[k] = (mean + delta * m / merged,
+                              m2 + float(tmp.sum()) + delta * delta * total_n * m / merged)
+            total_n = merged
 
-    variance = m2 / (total_n - 1)
-    return SampleEstimate(
-        mean=mean,
-        variance=variance,
-        n=total_n,
-        se_mean=math.sqrt(variance / total_n),
-        se_var=variance * math.sqrt(2.0 / (total_n - 1)),
-    )
+    estimates = []
+    for mean, m2 in moments:
+        variance = m2 / (total_n - 1)
+        estimates.append(SampleEstimate(
+            mean=mean,
+            variance=variance,
+            n=total_n,
+            se_mean=math.sqrt(variance / total_n),
+            se_var=variance * math.sqrt(2.0 / (total_n - 1)),
+        ))
+    return estimates
+
+
+def sample_expr(
+    expr: QuadExpr,
+    r: float,
+    n: int,
+    rng: RngConfig = RngConfig(),
+) -> SampleEstimate:
+    """Estimate one expression's mean and variance; see :func:`sample_exprs`."""
+    return sample_exprs((expr,), r, n, rng)[0]
 
 
 # --------------------------------------------------------------------------

@@ -1,26 +1,31 @@
 """Monte-Carlo sampling oracle and covariance-matrix cross-check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cvcluster import (
     CLUSTER_NETWORK,
+    CxParams,
     RngConfig,
     SeedKind,
     SeedRegistry,
     beamsplitter_symplectic,
     build_cluster,
     certify,
+    controlled_x_gate,
     covariance_propagate,
     DisplacementParams,
     displacement_gate,
     nullifier_slot_vectors,
     nullifier_variances,
     sample_expr,
+    sample_exprs,
     SLOT_MODES,
 )
+from cvcluster.oracle import BLOCK
 
 
 def squeezed_y(label="m"):
@@ -92,6 +97,95 @@ class TestSampling:
         ref = np.concatenate(chunks)
         assert est.mean == pytest.approx(float(ref.mean()), abs=1e-12)
         assert est.variance == pytest.approx(float(ref.var(ddof=1)), rel=1e-12)
+
+
+def cx_quadratures():
+    result = controlled_x_gate(CxParams(s_c=1.0, s_t=-0.5, var_cx=2.0), 1.0)
+    return result, [getattr(result.modes[name], axis)
+                    for name in ("target", "control") for axis in ("x", "y")]
+
+
+def blocked_reference(expr, r, n, rng):
+    """The samples ``sample_exprs`` should draw, in one flat array.
+
+    Each substream draws every seed, in (id, axis) order, block by block.
+    """
+    keys = sorted(expr.terms, key=lambda k: (k[0], k[1].value))
+    seeds = [expr.registry.seed(*key) for key in keys]
+    streams = min(rng.stream_count, n)
+    base, extra = divmod(n, streams)
+    parts = []
+    for i in range(streams):
+        size = base + (1 if i < extra else 0)
+        gen = np.random.default_rng(np.random.SeedSequence([rng.seed, i]))
+        for start in range(0, size, BLOCK):
+            m = min(BLOCK, size - start)
+            values = np.full(m, expr.constant)
+            for key, seed in zip(keys, seeds):
+                values += expr.terms[key] * gen.normal(
+                    seed.mean, math.sqrt(seed.variance_at(r)), m)
+            parts.append(values)
+    return np.concatenate(parts)
+
+
+class TestJointSampling:
+    def test_permutation_and_duplicates_are_bitwise_neutral(self):
+        _, quads = cx_quadratures()
+        rng = RngConfig(seed=13)
+        base = sample_exprs(quads, 1.0, 20_000, rng)
+        order = [3, 1, 0, 2, 0, 3]
+        shuffled = sample_exprs([quads[i] for i in order], 1.0, 20_000, rng)
+        assert shuffled == [base[i] for i in order]
+
+    def test_single_expression_wrapper(self):
+        _, quads = cx_quadratures()
+        rng = RngConfig(seed=14)
+        assert sample_expr(quads[0], 1.0, 5_000, rng) == sample_exprs([quads[0]], 1.0, 5_000, rng)[0]
+
+    def test_empty_call(self):
+        assert sample_exprs([], 1.0, 1_000) == []
+
+    @pytest.mark.parametrize("n", [16 * BLOCK + 3, 1000])
+    def test_block_seams(self, n):
+        reg = SeedRegistry()
+        mode = reg.input_mode(1.5, -0.5, 2.0, 0.5, label="in")
+        pair = reg.squeezed_mode(SeedKind.AMPLITUDE_QUIET, label="s")
+        expr = 0.75 * mode.y - 1.25 * pair.x + mode.x + 3.0
+        rng = RngConfig(seed=15)
+        est = sample_exprs([expr], 0.8, n, rng)[0]
+        ref = blocked_reference(expr, 0.8, n, rng)
+        assert est.n == n == ref.size
+        assert est.mean == pytest.approx(float(ref.mean()), rel=1e-12)
+        assert est.variance == pytest.approx(float(ref.var(ddof=1)), rel=1e-12)
+
+    def test_mixed_registries_rejected(self):
+        with pytest.raises(ValueError, match="registry"):
+            sample_exprs([squeezed_y("a"), squeezed_y("b")], 1.0, 10_000)
+
+    def test_cx_outputs_certify_jointly(self):
+        result, quads = cx_quadratures()
+        ests = sample_exprs(quads, 1.0, 200_000, RngConfig(seed=16))
+        for (name, axis), est in zip([(m, a) for m in ("target", "control")
+                                      for a in ("x", "y")], ests):
+            stats = result.stats[name]
+            assert certify(getattr(stats, f"mean_{axis}"), est, 4.0, "mean").passed
+            assert certify(getattr(stats, f"var_{axis}"), est, 4.0, "variance").passed
+
+    def test_memory_does_not_grow_with_n(self):
+        # numpy reports its buffers to tracemalloc
+        _, quads = cx_quadratures()
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sample_exprs(quads, 1.0, n, RngConfig(seed=17))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200_000)  # warm any one-off allocations
+        small, large = peak(200_000), peak(2_000_000)
+        assert large <= small + 64 * 1024
 
 
 class TestRngConfig:
