@@ -325,10 +325,10 @@ def _run_gate(
     prefixed by the mode name when the gate has several) and ``after``.
     ``--certify`` checks those statistics, mode by mode, then the
     ``extra`` (name, expression, analytic variance) checks of the first
-    mode, all estimated from one joint draw of the gate's seeds with seed
-    ``seed``. ``--out`` writes ``dataset`` if
-    given, else one row: the ``row`` head columns, the statistics and the
-    tail columns, looked up in the results and then the config.
+    mode, all estimated from one shared draw of the gate's seeds with the
+    run's ``seed``. ``--out`` writes ``dataset`` if given, else one row: the
+    ``row`` head columns, the statistics and the tail columns, looked up in
+    the results and then the config.
     """
     r = cfg["r"]
     prefixed = len(result.stats) > 1

@@ -99,10 +99,12 @@ class TestSampling:
         assert est.variance == pytest.approx(float(ref.var(ddof=1)), rel=1e-12)
 
 
+CX_OUTPUTS = [(name, axis) for name in ("target", "control") for axis in ("x", "y")]
+
+
 def cx_quadratures():
     result = controlled_x_gate(CxParams(s_c=1.0, s_t=-0.5, var_cx=2.0), 1.0)
-    return result, [getattr(result.modes[name], axis)
-                    for name in ("target", "control") for axis in ("x", "y")]
+    return result, [getattr(result.modes[name], axis) for name, axis in CX_OUTPUTS]
 
 
 def blocked_reference(expr, r, n, rng):
@@ -140,7 +142,8 @@ class TestJointSampling:
     def test_single_expression_wrapper(self):
         _, quads = cx_quadratures()
         rng = RngConfig(seed=14)
-        assert sample_expr(quads[0], 1.0, 5_000, rng) == sample_exprs([quads[0]], 1.0, 5_000, rng)[0]
+        joint = sample_exprs([quads[0]], 1.0, 5_000, rng)
+        assert [sample_expr(quads[0], 1.0, 5_000, rng)] == joint
 
     def test_empty_call(self):
         assert sample_exprs([], 1.0, 1_000) == []
@@ -165,8 +168,7 @@ class TestJointSampling:
     def test_cx_outputs_certify_jointly(self):
         result, quads = cx_quadratures()
         ests = sample_exprs(quads, 1.0, 200_000, RngConfig(seed=16))
-        for (name, axis), est in zip([(m, a) for m in ("target", "control")
-                                      for a in ("x", "y")], ests):
+        for (name, axis), est in zip(CX_OUTPUTS, ests):
             stats = result.stats[name]
             assert certify(getattr(stats, f"mean_{axis}"), est, 4.0, "mean").passed
             assert certify(getattr(stats, f"var_{axis}"), est, 4.0, "variance").passed
