@@ -101,12 +101,6 @@ class SeedRegistry:
         self._seeds: dict[Key, SeedVar] = {}
         self._auto = 0
 
-    def __len__(self) -> int:
-        return len(self._seeds)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self._seeds
-
     def seed(self, seed_id: str, axis: Axis) -> SeedVar:
         try:
             return self._seeds[(seed_id, axis)]
@@ -124,6 +118,10 @@ class SeedRegistry:
     def _register(self, seed: SeedVar) -> None:
         self._seeds[(seed.id, seed.axis)] = seed
 
+    def _pair(self, label: str) -> "ModePair":
+        return ModePair(QuadExpr(self, {(label, Axis.X): 1.0}),
+                        QuadExpr(self, {(label, Axis.Y): 1.0}))
+
     def squeezed_mode(self, kind: SeedKind, label: str | None = None) -> "ModePair":
         """Create a fresh squeezed source and return its quadrature pair."""
         if kind is SeedKind.EXTERNAL:
@@ -131,10 +129,7 @@ class SeedRegistry:
         label = self._fresh_label(label)
         for axis in (Axis.X, Axis.Y):
             self._register(SeedVar(label, axis, kind))
-        return ModePair(
-            x=QuadExpr(self, {(label, Axis.X): 1.0}),
-            y=QuadExpr(self, {(label, Axis.Y): 1.0}),
-        )
+        return self._pair(label)
 
     def input_mode(
         self,
@@ -150,10 +145,7 @@ class SeedRegistry:
         label = self._fresh_label(label)
         self._register(SeedVar(label, Axis.X, SeedKind.EXTERNAL, float(mean_x), float(var_x)))
         self._register(SeedVar(label, Axis.Y, SeedKind.EXTERNAL, float(mean_y), float(var_y)))
-        return ModePair(
-            x=QuadExpr(self, {(label, Axis.X): 1.0}),
-            y=QuadExpr(self, {(label, Axis.Y): 1.0}),
-        )
+        return self._pair(label)
 
 
 class QuadExpr:
@@ -197,12 +189,6 @@ class QuadExpr:
         if isinstance(axis, str):
             axis = Axis(axis)
         return self._terms.get((seed_id, axis), 0.0)
-
-    def __repr__(self) -> str:
-        body = " + ".join(
-            f"{c:+.6g}*{sid}.{ax.value}" for (sid, ax), c in sorted(self._terms.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
-        )
-        return f"QuadExpr({body or '0'} {self._constant:+.6g})"
 
     # arithmetic ----------------------------------------------------------
 
@@ -286,36 +272,54 @@ class ModePair:
             raise ValueError("seed registry mismatch")
 
 
+def splitter_matrix(transmittance: float, phase_diff: float = 0.0) -> tuple[tuple, ...]:
+    """The 4x4 beamsplitter map on ``(a.x, a.y, b.x, b.y)``.
+
+    ``phase_diff`` is applied as a phase-space rotation R of the second input
+    before the real orthogonal mixing; the rows are the output quadratures
+    ``(out1.x, out1.y, out2.x, out2.y)``::
+
+        out1 = sqrt(t) * a + sqrt(1-t) * R(phase) b
+        out2 = sqrt(1-t) * a - sqrt(t) * R(phase) b
+
+    The map is symplectic for any transmittance and phase.
+    """
+    if not 0.0 < transmittance < 1.0:
+        raise ValueError("transmittance must lie strictly between 0 and 1")
+    t, rr = math.sqrt(transmittance), math.sqrt(1.0 - transmittance)
+    c, s = math.cos(phase_diff), math.sin(phase_diff)
+    return ((t, 0.0, rr * c, -rr * s),
+            (0.0, t, rr * s, rr * c),
+            (rr, 0.0, -t * c, t * s),
+            (0.0, rr, -t * s, -t * c))
+
+
 def beamsplitter(
     a: ModePair,
     b: ModePair,
     transmittance: float,
     phase_diff: float = 0.0,
 ) -> tuple[ModePair, ModePair]:
-    """Mix two modes on a beamsplitter.
+    """Mix two modes by the rows of :func:`splitter_matrix`.
 
-    ``phase_diff`` is applied as a phase-space rotation of the second input
-    before the real orthogonal mixing::
-
-        out1 = sqrt(t) * a + sqrt(1-t) * R(phase) b
-        out2 = sqrt(1-t) * a - sqrt(t) * R(phase) b
-
-    Both outputs' quadratures stay exact linear forms in the input seeds,
-    and the joint map is symplectic for any transmittance and phase.
+    The outputs stay exact linear forms in the input seeds. Matrix entries
+    below :data:`PRUNE_TOL`, such as cos(pi/2), are skipped.
     """
-    if not 0.0 < transmittance < 1.0:
-        raise ValueError("transmittance must lie strictly between 0 and 1")
+    matrix = splitter_matrix(transmittance, phase_diff)
     if a.x.registry is not b.x.registry:
         raise ValueError("seed registry mismatch")
-    t = math.sqrt(transmittance)
-    rr = math.sqrt(1.0 - transmittance)
-    c = math.cos(phase_diff)
-    s = math.sin(phase_diff)
-    bx = c * b.x - s * b.y
-    by = s * b.x + c * b.y
-    out1 = ModePair(x=t * a.x + rr * bx, y=t * a.y + rr * by)
-    out2 = ModePair(x=rr * a.x - t * bx, y=rr * a.y - t * by)
-    return out1, out2
+    quads = (a.x, a.y, b.x, b.y)
+    out = []
+    for row in matrix:
+        terms: dict[Key, float] = {}
+        constant = 0.0
+        for m, quad in zip(row, quads):
+            if abs(m) >= PRUNE_TOL:
+                for key, c in quad._terms.items():
+                    terms[key] = terms.get(key, 0.0) + m * c
+                constant += m * quad._constant
+        out.append(QuadExpr(a.x.registry, terms, constant))
+    return ModePair(*out[:2]), ModePair(*out[2:])
 
 
 def rotate_quadrature(mode: ModePair, angle: float) -> QuadExpr:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -175,27 +175,35 @@ def _label(value: float) -> str:
     return format(value, "g")
 
 
+def _phi_curves(
+    tag: str, phi_grid: Iterable[float], key: str, values: Iterable[float], column: str,
+    curve: Callable[[float], tuple[SqueezerParams, float]], meta: dict, snl: bool = False,
+) -> CurveDataset:
+    """Squeezer output variance versus phi, one column per entry of ``values``.
+
+    ``curve(value)`` gives a column's (params, r); ``snl`` adds shot noise.
+    """
+    phis = _as_grid("phi_grid", phi_grid)
+    vals = [float(v) for v in values]
+    if not vals:
+        raise ValueError(f"{key} must be non-empty")
+    curves = [curve(v) for v in vals]
+    tail = [1.0] * snl
+    rows = [[phi] + [rotated_output_variance(p, r, phi) for p, r in curves] + tail
+            for phi in phis]
+    names = [f"{column}_{_label(v)}" for v in vals] + ["snl"] * snl
+    return CurveDataset(tag=tag, columns=("phi", *names), values=np.array(rows),
+                        meta={**meta, key: vals, "input": "coherent"})
+
+
 def fig5_dataset(
     phi_grid: Iterable[float],
     tan_thetas: Iterable[float] = (0.0, 1.0, 2.0, 5.0),
     r: float = 2.0,
 ) -> CurveDataset:
     """Squeezer output variance versus phi for several tan(theta)."""
-    phis = _as_grid("phi_grid", phi_grid)
-    ts = [float(t) for t in tan_thetas]
-    if not ts:
-        raise ValueError("tan_thetas must be non-empty")
-    params = [SqueezerParams.from_tan(t) for t in ts]
-    rows = [
-        [phi] + [rotated_output_variance(p, r, phi) for p in params]
-        for phi in phis
-    ]
-    return CurveDataset(
-        tag="fig5",
-        columns=("phi", *[f"v_tantheta_{_label(t)}" for t in ts]),
-        values=np.array(rows),
-        meta={"r": r, "tan_thetas": ts, "input": "coherent"},
-    )
+    return _phi_curves("fig5", phi_grid, "tan_thetas", tan_thetas, "v_tantheta",
+                       lambda t: (SqueezerParams.from_tan(t), r), {"r": r})
 
 
 def fig6_dataset(
@@ -204,21 +212,9 @@ def fig6_dataset(
     tan_theta: float = 2.0,
 ) -> CurveDataset:
     """Squeezer output variance versus phi for several r, plus shot noise."""
-    phis = _as_grid("phi_grid", phi_grid)
-    rs = [float(r) for r in r_values]
-    if not rs:
-        raise ValueError("r_values must be non-empty")
-    params = SqueezerParams.from_tan(tan_theta)
-    rows = [
-        [phi] + [rotated_output_variance(params, r, phi) for r in rs] + [1.0]
-        for phi in phis
-    ]
-    return CurveDataset(
-        tag="fig6",
-        columns=("phi", *[f"v_r_{_label(r)}" for r in rs], "snl"),
-        values=np.array(rows),
-        meta={"tan_theta": tan_theta, "r_values": rs, "input": "coherent"},
-    )
+    return _phi_curves("fig6", phi_grid, "r_values", r_values, "v_r",
+                       lambda r: (SqueezerParams.from_tan(tan_theta), r),
+                       {"tan_theta": tan_theta}, snl=True)
 
 
 def _centered_grid(mean: float, var: float, points: int, span: float) -> np.ndarray:
@@ -230,11 +226,13 @@ def _centered_grid(mean: float, var: float, points: int, span: float) -> np.ndar
 
 def _wigner_panel(
     name: str,
-    moments: GaussianMoments,
+    mean: tuple[float, float],
+    var: tuple[float, float],
     points: int,
     span: float,
     extra_meta: dict,
 ) -> CurveDataset:
+    moments = GaussianMoments(mean, np.diag(var))
     x = _centered_grid(moments.mean[0], moments.cov[0, 0], points, span)
     y = _centered_grid(moments.mean[1], moments.cov[1, 1], points, span)
     w = wigner(moments, x, y)
@@ -284,28 +282,16 @@ def fig8_dataset(
         raise ValueError("r_values must be non-empty")
     common = {"caption_reading": caption_reading, "s_c": s_c, "s_t": s_t}
     panels: dict[str, CurveDataset] = {}
-    panels["input_control"] = _wigner_panel(
-        "input_control",
-        GaussianMoments((s_c, 0.0), np.diag([vx, vy])),
-        grid_points, span, dict(common),
-    )
-    panels["input_target"] = _wigner_panel(
-        "input_target",
-        GaussianMoments((s_t, 0.0), np.diag([vx, vy])),
-        grid_points, span, dict(common),
-    )
+    for name, mean in (("input_control", s_c), ("input_target", s_t)):
+        panels[name] = _wigner_panel(name, (mean, 0.0), (vx, vy), grid_points, span,
+                                     dict(common))
     params = CxParams(s_c=s_c, s_t=s_t, var_cx=vx, var_cy=vy, var_tx=vx, var_ty=vy)
     for r in rs:
         moments = cx_output_moments(params, r)
         for mode in ("control", "target"):
             stats = moments[mode]
             name = f"output_{mode}_r{_label(r)}"
-            panels[name] = _wigner_panel(
-                name,
-                GaussianMoments(
-                    (stats.mean_x, stats.mean_y),
-                    np.diag([stats.var_x, stats.var_y]),
-                ),
-                grid_points, span, dict(common, r=r),
-            )
+            panels[name] = _wigner_panel(name, (stats.mean_x, stats.mean_y),
+                                         (stats.var_x, stats.var_y), grid_points, span,
+                                         dict(common, r=r))
     return panels

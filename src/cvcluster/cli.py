@@ -43,6 +43,7 @@ from .cluster import (
     nullifier_variances,
 )
 from .gates import (
+    CRITERION_SIGMAS,
     CxParams,
     DisplacementParams,
     GateResult,
@@ -128,7 +129,7 @@ FLAGS = (
     Flag("optimal_gain", bool, False, "variance-minimizing residual gains", ("displace",)),
     Flag("unity_gain", bool, False, "residual gains g2=g3=1", ("displace",)),
     Flag("criterion", int, 99, "distinguishability criterion", ("displace",),
-         choices=(95, 99), show_default=True),
+         choices=tuple(CRITERION_SIGMAS), show_default=True),
     Flag("theta", float, None, "detection angle", ("squeeze",)),
     Flag("tan_theta", float, None, "detection angle given as its tangent", ("squeeze",)),
     Flag("phi", float, None, "report the output variance at this quadrature angle",

@@ -90,11 +90,7 @@ def build_cluster(registry: SeedRegistry | None = None) -> ClusterState:
         )
         slots[spec.mode_a] = out_a
         slots[spec.mode_b] = out_b
-    by_name = dict(zip(SLOT_MODES, slots))
-    return ClusterState(
-        b1=by_name["b1"], b2=by_name["b2"], b3=by_name["b3"], b4=by_name["b4"],
-        registry=reg,
-    )
+    return ClusterState(**dict(zip(SLOT_MODES, slots)), registry=reg)
 
 
 #: Joint quadratures whose variances vanish for infinite squeezing, written

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .algebra import ModePair, SeedRegistry, beamsplitter, rotate_quadrature
-from .cluster import build_cluster
+from .cluster import ClusterState, build_cluster
 
 #: Fixed feedforward gains of the displacement gate. The first detector's
 #: photocurrent (plus the displacement offset s0) is added with gain +sqrt(2),
@@ -76,13 +76,26 @@ class GateResult:
     meta: Mapping[str, float]
 
 
-def _mode_stats(mode: ModePair, r: float) -> ModeStats:
-    return ModeStats(
-        mean_x=mode.x.mean(),
-        mean_y=mode.y.mean(),
-        var_x=mode.x.variance(r),
-        var_y=mode.y.variance(r),
-    )
+def _couple(r: float, *inputs: tuple) -> tuple[ClusterState, list]:
+    """Build a fresh cluster and split each input signal with its cluster mode.
+
+    An input is ``(mode, label, mean_x, mean_y, var_x, var_y)``; it is mixed
+    with its cluster mode, which takes the first port, on a 50:50 splitter.
+    """
+    _check_r(r)
+    registry = SeedRegistry()
+    cluster = build_cluster(registry)
+    return cluster, [
+        beamsplitter(cluster.mode(mode), registry.input_mode(*moments, label=label), 0.5, 0.0)
+        for mode, label, *moments in inputs
+    ]
+
+
+def _result(r: float, modes: dict[str, ModePair], meta: dict[str, float]) -> GateResult:
+    """The output modes with their moments evaluated at r."""
+    stats = {name: ModeStats(mode.x.mean(), mode.y.mean(), mode.x.variance(r),
+                             mode.y.variance(r)) for name, mode in modes.items()}
+    return GateResult(modes=modes, stats=stats, meta=meta)
 
 
 # --------------------------------------------------------------------------
@@ -135,12 +148,6 @@ def optimal_gain(r: float) -> float:
     return 3.0 * (up - down) / (2.0 * down + 3.0 * up)
 
 
-def _resolve_gain(g: float | str, r: float) -> float:
-    if isinstance(g, str):
-        return optimal_gain(r)
-    return float(g)
-
-
 def displacement_output_variance(r: float, gain: float, v_in: float = 1.0) -> float:
     """Output variance of one quadrature at an explicit residual gain.
 
@@ -180,23 +187,15 @@ def displacement_gate(params: DisplacementParams, r: float) -> GateResult:
     onto b4 with the fixed gains. Two more detectors on b2 and b3 cancel
     residual cluster noise with gains g2/g3.
     """
-    _check_r(r)
-    g2 = _resolve_gain(params.g2, r)
-    g3 = _resolve_gain(params.g3, r)
-    registry = SeedRegistry()
-    cluster = build_cluster(registry)
-    signal = registry.input_mode(
-        params.mean_x, params.mean_y, params.var_x, params.var_y, label="in"
+    g2, g3 = (optimal_gain(r) if g == _OPTIMAL else float(g) for g in (params.g2, params.g3))
+    cluster, [(c1, c2)] = _couple(
+        r, ("b1", "in", params.mean_x, params.mean_y, params.var_x, params.var_y)
     )
-    c1, c2 = beamsplitter(cluster.b1, signal, 0.5, 0.0)
     x_out = cluster.b4.x + G0 * (c1.x + params.s0) + g2 * cluster.b2.x
     y_out = cluster.b4.y + G1 * (c2.y - params.s1) + g3 * cluster.b3.y
-    out = ModePair(x=x_out, y=y_out)
-    return GateResult(
-        modes={"out": out},
-        stats={"out": _mode_stats(out, r)},
-        meta={"r": r, "g0": G0, "g1": G1, "g2": g2, "g3": g3,
-              "s0": params.s0, "s1": params.s1},
+    return _result(
+        r, {"out": ModePair(x=x_out, y=y_out)},
+        {"r": r, "g0": G0, "g1": G1, "g2": g2, "g3": g3, "s0": params.s0, "s1": params.s1},
     )
 
 
@@ -291,14 +290,10 @@ def squeezer_gate(params: SqueezerParams, r: float) -> GateResult:
     ``+2 tan(theta)`` cross-coupling from the input phase (recorded in
     ``meta["cross_coefficient"]``).
     """
-    _check_r(r)
     tan_t = math.tan(params.theta)
-    registry = SeedRegistry()
-    cluster = build_cluster(registry)
-    signal = registry.input_mode(
-        params.mean_x, params.mean_y, params.var_x, params.var_y, label="in"
+    cluster, [(c1, c2)] = _couple(
+        r, ("b1", "in", params.mean_x, params.mean_y, params.var_x, params.var_y)
     )
-    c1, c2 = beamsplitter(cluster.b1, signal, 0.5, 0.0)
     hd1 = rotate_quadrature(c1, params.theta)
     x_out = (
         cluster.b4.x
@@ -307,19 +302,10 @@ def squeezer_gate(params: SqueezerParams, r: float) -> GateResult:
         - G0 * tan_t * c2.y
     )
     y_out = cluster.b4.y - G0 * c2.y + cluster.b3.y
-    out = ModePair(x=x_out, y=y_out)
-    return GateResult(
-        modes={"out": out},
-        stats={"out": _mode_stats(out, r)},
-        meta={
-            "r": r,
-            "theta": params.theta,
-            "tan_theta": tan_t,
-            "rescale": math.cos(params.theta),
-            "squeeze_parameter": -tan_t,
-            "cross_coefficient": out.x.coefficient("in", "y"),
-        },
-    )
+    return _result(r, {"out": ModePair(x=x_out, y=y_out)}, {
+        "r": r, "theta": params.theta, "tan_theta": tan_t, "rescale": math.cos(params.theta),
+        "squeeze_parameter": -tan_t, "cross_coefficient": x_out.coefficient("in", "y"),
+    })
 
 
 def rotated_output_variance(params: SqueezerParams, r: float, phi: float) -> float:
@@ -362,12 +348,12 @@ def optimal_detection_angle(theta: float) -> tuple[float, float]:
     return phi, math.tan(phi) ** -2
 
 
-def squeezing_threshold(theta: float, tol: float = 1e-9) -> float:
+def squeezing_threshold(theta: float) -> float:
     """Squeezing needed before the optimal output quadrature beats shot noise.
 
     Bisects the coherent-input minimum variance ``3 e^{-2r} + noise_floor``
-    against 1. Raises for tan(theta)=0, where the output never drops below
-    shot noise.
+    against 1 over r in [0, 30], to a width of 1e-9. Raises for
+    tan(theta)=0, where the output never drops below shot noise.
     """
     _, floor = optimal_detection_angle(theta)
 
@@ -375,11 +361,9 @@ def squeezing_threshold(theta: float, tol: float = 1e-9) -> float:
         return 3.0 * math.exp(-2.0 * r) + floor < 1.0
 
     lo, hi = 0.0, 30.0
-    if below(lo):
-        return lo
     if not below(hi):
         raise RuntimeError("no squeezing threshold below r=30")
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if below(mid):
             hi = mid
@@ -425,17 +409,11 @@ def controlled_x_gate(params: CxParams, r: float) -> GateResult:
     ``(3e^{-2r} + var_cx + var_tx, 2e^{-2r} + var_ty)``; control mean
     (s_c, 0), variances ``(2e^{-2r} + var_cx, 3e^{-2r} + var_cy + var_ty)``.
     """
-    _check_r(r)
-    registry = SeedRegistry()
-    cluster = build_cluster(registry)
-    target_in = registry.input_mode(
-        params.s_t, 0.0, params.var_tx, params.var_ty, label="t"
+    cluster, [(t1, t2), (c2, c1)] = _couple(
+        r,
+        ("b2", "t", params.s_t, 0.0, params.var_tx, params.var_ty),
+        ("b3", "c", params.s_c, 0.0, params.var_cx, params.var_cy),
     )
-    control_in = registry.input_mode(
-        params.s_c, 0.0, params.var_cx, params.var_cy, label="c"
-    )
-    t1, t2 = beamsplitter(cluster.b2, target_in, 0.5, 0.0)
-    c2, c1 = beamsplitter(cluster.b3, control_in, 0.5, 0.0)
     target = ModePair(
         x=cluster.b1.x + CX_GAIN * t1.x + CX_GAIN * c1.x,
         y=cluster.b1.y - CX_GAIN * t2.y,
@@ -444,12 +422,8 @@ def controlled_x_gate(params: CxParams, r: float) -> GateResult:
         x=cluster.b4.x - CX_GAIN * c1.x,
         y=cluster.b4.y - CX_GAIN * t2.y + CX_GAIN * c2.y,
     )
-    return GateResult(
-        modes={"target": target, "control": control},
-        stats={"target": _mode_stats(target, r),
-               "control": _mode_stats(control, r)},
-        meta={"r": r, "gain": CX_GAIN, "s_c": params.s_c, "s_t": params.s_t},
-    )
+    return _result(r, {"target": target, "control": control},
+                   {"r": r, "gain": CX_GAIN, "s_c": params.s_c, "s_t": params.s_t})
 
 
 def cx_output_moments(params: CxParams, r: float) -> dict[str, ModeStats]:

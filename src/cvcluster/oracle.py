@@ -1,12 +1,14 @@
-"""Independent cross-checks for the analytic results.
-
-Two routes that share no code with the expression algebra:
+"""Cross-checks for the analytic results.
 
 * :func:`sample_exprs` draws every seed of a set of expressions once from
   its Gaussian law and evaluates each expression sample by sample, giving
   Monte-Carlo estimates with standard errors;
 * :func:`covariance_propagate` pushes the 8x8 source covariance matrix
-  through the preparation network as explicit symplectic matrices.
+  through the preparation network as explicit symplectic matrices. It
+  shares :func:`~cvcluster.algebra.splitter_matrix` with the expression
+  algebra, so it checks the algebra's moment sums but not the splitter
+  itself; the hand-derived cluster coefficients (``CLUSTER_COEFFS`` in
+  ``tests/test_cluster.py``) and the Monte-Carlo route anchor that.
 
 Sampling is split into counter-keyed substreams and fixed-size blocks, so
 estimates depend only on (seed, stream layout, block size), never on how the
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Axis, Key, QuadExpr, squeezed_variance
+from .algebra import Axis, Key, QuadExpr, splitter_matrix, squeezed_variance
 from .cluster import SOURCE_KINDS, BeamsplitterSpec
 
 _MAX_SEED = 2**64
@@ -163,26 +165,15 @@ def sample_expr(
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _symplectic_form(n_modes: int) -> np.ndarray:
-    return np.kron(np.eye(n_modes), _J2)
+def beamsplitter_symplectic(spec: BeamsplitterSpec) -> np.ndarray:
+    """Matrix of one splitter on the 8-vector of the four mode slots.
 
-
-def beamsplitter_symplectic(spec: BeamsplitterSpec, n_modes: int = 4) -> np.ndarray:
-    """Explicit matrix of one splitter on the 2*n_modes quadrature vector."""
-    if not 0.0 < spec.transmittance < 1.0:
-        raise ValueError("transmittance must lie strictly between 0 and 1")
-    t = math.sqrt(spec.transmittance)
-    rr = math.sqrt(1.0 - spec.transmittance)
-    c = math.cos(spec.phase_diff)
-    s = math.sin(spec.phase_diff)
-    rot = np.array([[c, -s], [s, c]])
-    eye2 = np.eye(2)
-    mat = np.eye(2 * n_modes)
-    ia, ib = 2 * spec.mode_a, 2 * spec.mode_b
-    mat[ia:ia + 2, ia:ia + 2] = t * eye2
-    mat[ia:ia + 2, ib:ib + 2] = rr * rot
-    mat[ib:ib + 2, ia:ia + 2] = rr * eye2
-    mat[ib:ib + 2, ib:ib + 2] = -t * rot
+    The :func:`~cvcluster.algebra.splitter_matrix` block is placed at the
+    spec's two slots; every other slot passes through unchanged.
+    """
+    slots = [2 * spec.mode_a, 2 * spec.mode_a + 1, 2 * spec.mode_b, 2 * spec.mode_b + 1]
+    mat = np.eye(2 * len(SOURCE_KINDS))
+    mat[np.ix_(slots, slots)] = splitter_matrix(spec.transmittance, spec.phase_diff)
     return mat
 
 
@@ -204,7 +195,7 @@ def covariance_propagate(
         diag.append(squeezed_variance(kind, Axis.X, r))
         diag.append(squeezed_variance(kind, Axis.Y, r))
     sigma = np.diag(diag)
-    j = _symplectic_form(len(SOURCE_KINDS))
+    j = np.kron(np.eye(len(SOURCE_KINDS)), _J2)
     for step in network:
         mat = step if isinstance(step, np.ndarray) else beamsplitter_symplectic(step)
         if mat.shape != sigma.shape:

@@ -304,6 +304,36 @@ class TestMalformedInputs:
         assert err.startswith("error: inputs out of range: ")
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv,config,message", [
+        (("prepare", "--r", "1"), {"format": "xml"}, "error: --format must be csv or json"),
+        (("displace", "--r", "1"), {"criterion": 98}, "error: --criterion must be 95 or 99"),
+    ])
+    def test_config_value_outside_choices(self, capsys, tmp_path, argv, config, message):
+        # argparse checks choices only on argv; config values take this branch
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"
+
+    @pytest.mark.parametrize("argv,blocker,message,report", [
+        (("cx", "--r", "1", "--out", "missing/dir/x.csv"), None,
+         "error: cannot write missing/dir/x.csv: ", True),
+        (("figures", "--grid", "5", "--out", "figs"), "figs/fig3.csv",
+         "error: cannot write datasets: ", False),
+    ])
+    def test_unwritable_output_file(self, capsys, tmp_path, monkeypatch, argv, blocker,
+                                    message, report):
+        # a gate prints its report before writing; figures reports after
+        monkeypatch.chdir(tmp_path)
+        if blocker:
+            (tmp_path / blocker).mkdir(parents=True)
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert err.startswith(message)
+        assert out.startswith("# ") if report else out == ""
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "explode")
         assert code == 2
