@@ -46,10 +46,14 @@ class SeedKind(enum.Enum):
     EXTERNAL = "external"
 
 
-def squeezed_variance(kind: SeedKind, axis: Axis, r: float) -> float:
-    """Variance of one squeezed-source quadrature at squeezing parameter r."""
+def _check_r(r: float) -> None:
     if r < 0:
         raise ValueError("squeezing parameter r must be >= 0")
+
+
+def squeezed_variance(kind: SeedKind, axis: Axis, r: float) -> float:
+    """Variance of one squeezed-source quadrature at squeezing parameter r."""
+    _check_r(r)
     if kind is SeedKind.EXTERNAL:
         raise ValueError("external seeds carry their own variance")
     quiet = (kind is SeedKind.PHASE_QUIET) == (axis is Axis.Y)
@@ -80,8 +84,7 @@ class SeedVar:
 
     def variance_at(self, r: float) -> float:
         if self.kind is SeedKind.EXTERNAL:
-            if r < 0:
-                raise ValueError("squeezing parameter r must be >= 0")
+            _check_r(r)
             return float(self.variance)  # type: ignore[arg-type]
         return squeezed_variance(self.kind, self.axis, r)
 

@@ -152,7 +152,8 @@ FLAGS = (
          rule=(lambda v: v >= 1000, "must be >= 1000"), show_default=True),
     Flag("seed", int, None, f"rng seed (default ${ENV_SEED} or {SEED_FALLBACK})", GATES,
          rule=(lambda v: 0 <= v < 2**64, "must be an unsigned 64-bit integer")),
-    Flag("out", str, None, "write results to this path", (*GATES, "figures")),
+    Flag("out", str, None, "write results to this path", (*GATES, "figures"),
+         rule=(lambda v: v != "", "must not be empty")),
     Flag("format", str, "csv", "serialization format", tuple(COMMANDS),
          choices=("csv", "json"), show_default=True),
 )
@@ -443,8 +444,6 @@ def cmd_squeeze(cfg: dict) -> int:
         cfg["theta"] = math.atan(cfg["tan_theta"])
     else:
         cfg["tan_theta"] = math.tan(cfg["theta"])
-    if abs(math.cos(cfg["theta"])) <= 1e-9:
-        raise UsageError("--theta too close to pi/2: feedforward rescale diverges")
     r = cfg["r"]
     params = SqueezerParams(theta=cfg["theta"], var_x=cfg["vx"], var_y=cfg["vy"])
     result = squeezer_gate(params, r)
@@ -492,8 +491,6 @@ def cmd_cx(cfg: dict) -> int:
 def cmd_figures(cfg: dict) -> int:
     if cfg["out"] is None:
         cfg["out"] = "figures"
-    if not cfg["out"]:
-        raise UsageError("--out must name a directory")
     resolved = {"command": "figures", **cfg}
     out_dir = Path(cfg["out"])
     ext = cfg["format"]

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .algebra import Axis, ModePair, QuadExpr, SeedKind, SeedRegistry, beamsplitter
+from .algebra import Axis, ModePair, QuadExpr, SeedKind, SeedRegistry, _check_r, beamsplitter
 
 
 @dataclass(frozen=True)
@@ -55,13 +53,12 @@ SLOT_MODES = ("b2", "b1", "b3", "b4")
 
 @dataclass(frozen=True)
 class ClusterState:
-    """The four cluster modes plus the registry their seeds live in."""
+    """The four cluster modes."""
 
     b1: ModePair
     b2: ModePair
     b3: ModePair
     b4: ModePair
-    registry: SeedRegistry
 
     @property
     def modes(self) -> tuple[ModePair, ModePair, ModePair, ModePair]:
@@ -90,7 +87,7 @@ def build_cluster(registry: SeedRegistry | None = None) -> ClusterState:
         )
         slots[spec.mode_a] = out_a
         slots[spec.mode_b] = out_b
-    return ClusterState(**dict(zip(SLOT_MODES, slots)), registry=reg)
+    return ClusterState(**dict(zip(SLOT_MODES, slots)))
 
 
 #: Joint quadratures whose variances vanish for infinite squeezing, written
@@ -118,26 +115,8 @@ def nullifiers(cluster: ClusterState) -> tuple[QuadExpr, ...]:
 
 def nullifier_variances(cluster: ClusterState, r: float) -> tuple[float, ...]:
     """Variances of the four nullifiers at squeezing parameter r."""
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
+    _check_r(r)
     return tuple(n.variance(r) for n in nullifiers(cluster))
-
-
-def nullifier_slot_vectors() -> np.ndarray:
-    """Nullifier coefficient rows in the slot basis used by the network.
-
-    Row i gives the coefficients of nullifier i over the 8-vector
-    ``(x_slot0, y_slot0, ..., x_slot3, y_slot3)`` with slots holding the
-    modes listed in :data:`SLOT_MODES`. Used by the covariance-matrix
-    cross-check.
-    """
-    slot_of = {name: i for i, name in enumerate(SLOT_MODES)}
-    rows = np.zeros((len(NULLIFIER_TERMS), 8))
-    for i, combo in enumerate(NULLIFIER_TERMS):
-        for name, axis, sign in combo:
-            offset = 0 if axis is Axis.X else 1
-            rows[i, 2 * slot_of[name] + offset] = sign
-    return rows
 
 
 #: Upper bound that each pairwise variance sum must stay below for the

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .algebra import ModePair, SeedRegistry, beamsplitter, rotate_quadrature
+from .algebra import ModePair, SeedRegistry, _check_r, beamsplitter, rotate_quadrature
 from .cluster import ClusterState, build_cluster
 
 #: Fixed feedforward gains of the displacement gate. The first detector's
@@ -34,11 +34,6 @@ CX_GAIN = math.sqrt(2.0)
 CRITERION_SIGMAS = {95: 2.0, 99: 3.0}
 
 _OPTIMAL = "optimal"
-
-
-def _check_r(r: float) -> None:
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
 
 
 def _check_variance(name: str, value: float) -> None:
@@ -351,25 +346,12 @@ def optimal_detection_angle(theta: float) -> tuple[float, float]:
 def squeezing_threshold(theta: float) -> float:
     """Squeezing needed before the optimal output quadrature beats shot noise.
 
-    Bisects the coherent-input minimum variance ``3 e^{-2r} + noise_floor``
-    against 1 over r in [0, 30], to a width of 1e-9. Raises for
+    Solves ``3 e^{-2r} + noise_floor = 1`` for the coherent-input minimum
+    variance: ``r* = ln(3 / (1 - noise_floor)) / 2``. Raises for
     tan(theta)=0, where the output never drops below shot noise.
     """
     _, floor = optimal_detection_angle(theta)
-
-    def below(r: float) -> bool:
-        return 3.0 * math.exp(-2.0 * r) + floor < 1.0
-
-    lo, hi = 0.0, 30.0
-    if not below(hi):
-        raise RuntimeError("no squeezing threshold below r=30")
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * math.log(3.0 / (1.0 - floor))
 
 
 # --------------------------------------------------------------------------

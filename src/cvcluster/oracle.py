@@ -1,14 +1,9 @@
-"""Cross-checks for the analytic results.
+"""Monte-Carlo cross-checks for the analytic results.
 
-* :func:`sample_exprs` draws every seed of a set of expressions once from
-  its Gaussian law and evaluates each expression sample by sample, giving
-  Monte-Carlo estimates with standard errors;
-* :func:`covariance_propagate` pushes the 8x8 source covariance matrix
-  through the preparation network as explicit symplectic matrices. It
-  shares :func:`~cvcluster.algebra.splitter_matrix` with the expression
-  algebra, so it checks the algebra's moment sums but not the splitter
-  itself; the hand-derived cluster coefficients (``CLUSTER_COEFFS`` in
-  ``tests/test_cluster.py``) and the Monte-Carlo route anchor that.
+:func:`sample_exprs` draws every seed of a set of expressions once from its
+Gaussian law and evaluates each expression sample by sample, giving
+estimates with standard errors; :func:`certify` compares an analytic moment
+with such an estimate.
 
 Sampling is split into counter-keyed substreams and fixed-size blocks, so
 estimates depend only on (seed, stream layout, block size), never on how the
@@ -23,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Axis, Key, QuadExpr, splitter_matrix, squeezed_variance
-from .cluster import SOURCE_KINDS, BeamsplitterSpec
+from .algebra import Key, QuadExpr, _check_r
 
 _MAX_SEED = 2**64
 
@@ -89,8 +83,7 @@ def sample_exprs(
     """
     if n < 1000:
         raise ValueError("need at least 1000 samples")
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
+    _check_r(r)
     if not exprs:
         return []
     registry = exprs[0].registry
@@ -156,54 +149,6 @@ def sample_expr(
 ) -> SampleEstimate:
     """Estimate one expression's mean and variance; see :func:`sample_exprs`."""
     return sample_exprs((expr,), r, n, rng)[0]
-
-
-# --------------------------------------------------------------------------
-# covariance-matrix route
-# --------------------------------------------------------------------------
-
-_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def beamsplitter_symplectic(spec: BeamsplitterSpec) -> np.ndarray:
-    """Matrix of one splitter on the 8-vector of the four mode slots.
-
-    The :func:`~cvcluster.algebra.splitter_matrix` block is placed at the
-    spec's two slots; every other slot passes through unchanged.
-    """
-    slots = [2 * spec.mode_a, 2 * spec.mode_a + 1, 2 * spec.mode_b, 2 * spec.mode_b + 1]
-    mat = np.eye(2 * len(SOURCE_KINDS))
-    mat[np.ix_(slots, slots)] = splitter_matrix(spec.transmittance, spec.phase_diff)
-    return mat
-
-
-def covariance_propagate(
-    network: Sequence[BeamsplitterSpec | np.ndarray],
-    r: float,
-) -> np.ndarray:
-    """Push the source covariance through a splitter network.
-
-    Starts from the diagonal source covariance (slots ordered as in the
-    preparation layout, x before y) and conjugates by each step's matrix.
-    Steps may be :class:`BeamsplitterSpec` or raw 8x8 matrices; every matrix
-    is checked against the symplectic form first.
-    """
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
-    diag = []
-    for kind in SOURCE_KINDS:
-        diag.append(squeezed_variance(kind, Axis.X, r))
-        diag.append(squeezed_variance(kind, Axis.Y, r))
-    sigma = np.diag(diag)
-    j = np.kron(np.eye(len(SOURCE_KINDS)), _J2)
-    for step in network:
-        mat = step if isinstance(step, np.ndarray) else beamsplitter_symplectic(step)
-        if mat.shape != sigma.shape:
-            raise ValueError("transform has wrong shape")
-        if not np.allclose(mat @ j @ mat.T, j, atol=1e-9):
-            raise ValueError("non-symplectic transform supplied")
-        sigma = mat @ sigma @ mat.T
-    return sigma
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from cvcluster import (
     build_cluster,
     certify,
     controlled_x_gate,
-    covariance_propagate,
     cx_output_moments,
     displacement_gate,
     displacement_output_variance,
@@ -30,7 +29,6 @@ from cvcluster import (
     identity_fidelity,
     inseparability_check,
     inseparability_threshold,
-    nullifier_slot_vectors,
     nullifier_variances,
     nullifiers,
     optimal_detection_angle,
@@ -43,6 +41,7 @@ from cvcluster import (
     squeezing_threshold,
 )
 
+from reference import covariance_propagate, nullifier_slot_vectors
 from test_cluster import CLUSTER_COEFFS
 
 R_GRID = (0.0, 0.5, 1.0, 2.0)

@@ -1,11 +1,14 @@
 """Linear quadrature algebra: seeds, expressions, beamsplitters."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvcluster
 from cvcluster import (
     Axis,
     PRUNE_TOL,
@@ -257,3 +260,16 @@ class TestRotation:
         expr = rotate_quadrature(mode, phi)
         expected = math.cos(phi) ** 2 * math.exp(-2 * r) + math.sin(phi) ** 2 * math.exp(2 * r)
         assert expr.variance(r) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("module", ["algebra", "cluster", "gates"])
+def test_core_modules_do_not_import_numpy(module):
+    # the closed forms and the algebra stay importable without numpy
+    source = Path(cvcluster.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported

@@ -11,10 +11,11 @@ from cvcluster import (
     build_cluster,
     inseparability_check,
     inseparability_threshold,
-    nullifier_slot_vectors,
     nullifier_variances,
     nullifiers,
 )
+
+from reference import nullifier_slot_vectors
 
 S2 = 1.0 / math.sqrt(2.0)
 S10 = 1.0 / math.sqrt(10.0)

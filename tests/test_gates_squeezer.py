@@ -19,6 +19,24 @@ from cvcluster import (
 SQRT52 = math.sqrt(2.5)
 S2 = 1.0 / math.sqrt(2.0)
 
+#: tan(theta) of both signs, log-spaced over [1e-6, 1e8].
+TAN_GRID = [sign * 10.0 ** e for e in np.linspace(-6.0, 8.0, 29) for sign in (1.0, -1.0)]
+
+
+def bisected_threshold(theta):
+    """Reference: bisect ``3 e^{-2r} + noise_floor`` against 1 on [0, 30] to 1e-9."""
+    _, floor = optimal_detection_angle(theta)
+
+    def below(r):
+        return 3.0 * math.exp(-2.0 * r) + floor < 1.0
+
+    lo, hi = 0.0, 30.0
+    assert below(hi)
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return 0.5 * (lo + hi)
+
 
 class TestOutputStructure:
     def test_coefficients_at_tan_two(self):
@@ -145,6 +163,18 @@ class TestThreshold:
         params = SqueezerParams(theta=theta)
         assert rotated_output_variance(params, thr + 0.01, phi_opt) < 1.0
         assert rotated_output_variance(params, thr - 0.01, phi_opt) > 1.0
+
+    @pytest.mark.parametrize("tan_theta", TAN_GRID)
+    def test_matches_bisection(self, tan_theta):
+        theta = math.atan(tan_theta)
+        assert squeezing_threshold(theta) == pytest.approx(bisected_threshold(theta),
+                                                            abs=1e-9)
+
+    @pytest.mark.parametrize("tan_theta", [t for t in TAN_GRID if abs(t) >= 1e-3])
+    def test_matches_cancellation_free_form(self, tan_theta):
+        # 1 - floor = 2|t| / (sqrt(1 + t^2) + |t|), so r* = ln(1.5 (1 + sqrt(1 + t^-2))) / 2
+        want = 0.5 * math.log(1.5 * (1.0 + math.sqrt(1.0 + tan_theta ** -2)))
+        assert squeezing_threshold(math.atan(tan_theta)) == pytest.approx(want, abs=1e-12)
 
     def test_grows_with_weaker_operation(self):
         # weaker gate squeezing leaves a higher floor, needs more resource r

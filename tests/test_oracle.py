@@ -12,20 +12,19 @@ from cvcluster import (
     RngConfig,
     SeedKind,
     SeedRegistry,
-    beamsplitter_symplectic,
     build_cluster,
     certify,
     controlled_x_gate,
-    covariance_propagate,
     DisplacementParams,
     displacement_gate,
-    nullifier_slot_vectors,
     nullifier_variances,
     sample_expr,
     sample_exprs,
     SLOT_MODES,
 )
 from cvcluster.oracle import BLOCK
+
+from reference import beamsplitter_symplectic, covariance_propagate, nullifier_slot_vectors
 
 
 def squeezed_y(label="m"):

@@ -19,7 +19,6 @@ from cvcluster import (
     SqueezerParams,
     build_cluster,
     controlled_x_gate,
-    covariance_propagate,
     cx_output_moments,
     displacement_gate,
     displacement_output_variance,
@@ -29,6 +28,8 @@ from cvcluster import (
     rotated_output_variance,
     squeezer_gate,
 )
+
+from reference import covariance_propagate
 
 R_GRID = np.linspace(0.0, 50.0, 51)
 REL = 1e-12
