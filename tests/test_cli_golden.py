@@ -189,6 +189,10 @@ CASES = [
     # a Wigner grid or quadratic form that overflows is out of range
     case("overflow-figures-span", "figures", "--grid", "5", "--span", "1e300"),
     case("overflow-figures-span-grid", "figures", "--grid", "5", "--span", "1.7e308"),
+    # an empty --out exits 2 on a gate too, wherever it comes from
+    case("bad-gate-out-empty", "cx", "--r", "1", "--out", ""),
+    case("config-gate-out-empty", "displace", "--config", "cfg.json",
+         setup=config({"r": 1, "out": ""})),
 ]
 
 
