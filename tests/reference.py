@@ -36,10 +36,8 @@ def covariance_propagate(
     """Push the diagonal source covariance (x before y per slot) through a network.
 
     Steps are :class:`BeamsplitterSpec` or raw 8x8 matrices, each checked
-    against the symplectic form first.
+    against the symplectic form first. ``squeezed_variance`` rejects r < 0.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
     diag = []
     for kind in SOURCE_KINDS:
         diag.append(squeezed_variance(kind, Axis.X, r))

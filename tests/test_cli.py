@@ -342,18 +342,17 @@ class TestMalformedInputs:
         code, _, err = run(capsys, "squeeze", "--r", "1", "--theta", str(math.pi / 2))
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["displace", "cx"])
-    def test_empty_out_from_argv(self, capsys, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("argv,config", [
+        (("cx", "--r", "1", "--out", ""), None),
+        (("displace", "--r", "1"), {"out": ""}),
+        (("squeeze", "--r", "1", "--tan-theta", "2"), {"out": ""}),
+        (("figures", "--grid", "5"), {"out": ""}),
+    ])
+    def test_empty_out(self, capsys, tmp_path, monkeypatch, argv, config):
         monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, command, "--r", "1", "--out", "")
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ("--config", "cfg.json")
+        code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", "error: --out must not be empty\n")
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("argv", [("squeeze", "--r", "1", "--tan-theta", "2"),
-                                      ("figures", "--grid", "5")])
-    def test_empty_out_from_config(self, capsys, tmp_path, monkeypatch, argv):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.json").write_text(json.dumps({"out": ""}))
-        code, out, err = run(capsys, *argv, "--config", "cfg.json")
-        assert (code, out, err) == (2, "", "error: --out must not be empty\n")
-        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+        assert [path.name for path in tmp_path.iterdir()] == (["cfg.json"] if config else [])
