@@ -9,6 +9,11 @@ keys and types, the resolved defaults and the generic value checks all read
 it. The three gates share one runner, :func:`_run_gate`, which certifies the
 output-mode statistics, prints the report and writes the ``--out`` row.
 
+The parser is built once per process. numpy, :mod:`cvcluster.analysis` and
+:mod:`cvcluster.oracle` are imported only by the paths that use them
+(``--certify``, ``--out``, ``--scan-phi`` and ``figures``), so ``prepare``
+and a plain gate report never load numpy.
+
 Exit codes: 0 success, 1 physics predicate unmet, 2 invalid input,
 3 certification failure, 4 I/O failure. Every run is deterministic given
 its resolved configuration, which is echoed as a JSON header line.
@@ -17,25 +22,16 @@ its resolved configuration, which is echoed as a JSON header line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .algebra import QuadExpr, rotate_quadrature
-from .analysis import (
-    CurveDataset,
-    fig3_dataset,
-    fig4_dataset,
-    fig5_dataset,
-    fig6_dataset,
-    fig8_dataset,
-)
 from .cluster import (
     build_cluster,
     inseparability_check,
@@ -59,7 +55,9 @@ from .gates import (
     squeezing_threshold,
 )
 from .io import format_float, write_dataset
-from .oracle import RngConfig, certify, sample_exprs
+
+if TYPE_CHECKING:
+    from .analysis import CurveDataset
 
 EXIT_OK = 0
 EXIT_UNMET = 1
@@ -176,7 +174,9 @@ def _fmt_value(value: object) -> str:
     return str(value)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cvcluster",
         description="Gaussian logic gates on a four-mode optical cluster state",
@@ -353,12 +353,15 @@ def _run_gate(
 
     exit_code = EXIT_OK
     if cfg["certify"]:
+        from . import oracle
+
         distinct = list({id(expr): expr for _, _, expr, _ in checks}.values())
-        samples = sample_exprs(distinct, r, cfg["samples"], RngConfig(seed=cfg["seed"]))
+        samples = oracle.sample_exprs(distinct, r, cfg["samples"],
+                                      oracle.RngConfig(seed=cfg["seed"]))
         estimates = {id(expr): est for expr, est in zip(distinct, samples)}
         rows = []
         for name, statistic, expr, analytic in checks:
-            res = certify(analytic, estimates[id(expr)], CERTIFY_K, statistic)
+            res = oracle.certify(analytic, estimates[id(expr)], CERTIFY_K, statistic)
             rows.append({
                 "name": name,
                 "statistic": statistic,
@@ -375,6 +378,10 @@ def _run_gate(
     resolved = _emit_report(command, cfg, results)
     if cfg["out"]:
         if dataset is None:
+            import numpy as np
+
+            from .analysis import CurveDataset
+
             columns = (*row[0], *stats, *row[1])
             values = {**cfg, **results}
             dataset = CurveDataset(tag=command, columns=columns,
@@ -467,6 +474,10 @@ def cmd_squeeze(cfg: dict) -> int:
         after["v_at_phi"] = rotated_output_variance(params, r, cfg["phi"])
     scan = None
     if cfg["scan_phi"]:
+        import numpy as np
+
+        from .analysis import CurveDataset
+
         phis = np.linspace(0.0, math.pi, cfg["grid"])
         vs = np.array([rotated_output_variance(params, r, p) for p in phis])
         best = int(np.argmin(vs))
@@ -489,6 +500,10 @@ def cmd_cx(cfg: dict) -> int:
 
 
 def cmd_figures(cfg: dict) -> int:
+    import numpy as np
+
+    from .analysis import fig3_dataset, fig4_dataset, fig5_dataset, fig6_dataset, fig8_dataset
+
     if cfg["out"] is None:
         cfg["out"] = "figures"
     resolved = {"command": "figures", **cfg}

@@ -9,6 +9,7 @@ modes b1..b4 carry the linear-cluster correlations certified below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,12 +152,14 @@ def inseparability_check(cluster: ClusterState, r: float) -> InseparabilityRepor
                                 satisfied=satisfied, margin=margin)
 
 
+@functools.cache
 def inseparability_threshold() -> float:
     """Smallest squeezing at which all three conditions hold.
 
     Every nullifier is built from quiet seeds only, so each pair sum is its
     r=0 value times e^{-2r}. All three hold once the largest sum drops below
     the bound: r* = ln(max lhs(0) / bound) / 2, or 0 if they hold at r=0.
+    The cluster is fixed, so the value is computed once per process.
     """
     report = inseparability_check(build_cluster(), 0.0)
     return max(0.0, 0.5 * math.log(max(report.lhs) / report.bound))

@@ -9,6 +9,9 @@ CSV rows are encoded in bulk: each distinct float (by bit pattern, so
 ``-0.0`` and ``0.0`` stay apart) is formatted once, and rows are joined
 and written ``_CHUNK_ROWS`` at a time, so a large dataset never exists as
 one string on its way to disk.
+
+numpy is imported by the CSV encoder itself, so :func:`format_float`
+costs no numpy import.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
-
-from .analysis import CurveDataset
+if TYPE_CHECKING:
+    from .analysis import CurveDataset
 
 _CHUNK_ROWS = 4096
 
@@ -43,6 +45,8 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[str]:
     The header and the table of formatted floats are built before this
     returns, so an encoding error surfaces before any file is opened.
     """
+    import numpy as np
+
     header = ("# " + json.dumps(_header_config(dataset, config), sort_keys=True) + "\n"
               + ",".join(dataset.columns) + "\n")
     values = dataset.values

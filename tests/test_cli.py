@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cvcluster.cli as cli
+import cvcluster.oracle
 from cvcluster.oracle import CertifyResult
 
 GOLDEN_FIGURES = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -31,6 +32,10 @@ def parse_report(out):
         key, _, value = line.partition(": ")
         body[key] = value
     return header, body
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 class TestPrepare:
@@ -101,7 +106,7 @@ class TestDisplace:
                 se=se, k_sigma=k, statistic=statistic,
             )
 
-        monkeypatch.setattr(cli, "certify", always_fail)
+        monkeypatch.setattr(cvcluster.oracle, "certify", always_fail)
         code, out, _ = run(
             capsys, "displace", "--r", "1", "--certify",
             "--samples", "2000", "--seed", "3",

@@ -244,18 +244,36 @@ def test_fixture_covers_every_case():
     assert [c[0] for c in CASES] == list(recorded)
 
 
-@pytest.mark.parametrize("case_id,argv,setup", CASES, ids=[c[0] for c in CASES])
-def test_golden(case_id, argv, setup, tmp_path):
-    fixture = _load()
+def _assert_matches(fixture: dict, case_id: str, argv: list[str], got: dict) -> None:
     want = fixture["cases"][case_id]
     assert want["argv"] == argv
-    got = run_case(argv, setup, tmp_path)
     if fixture["python"] != PYTHON and _is_layout(want):
-        assert got["exit"] == want["exit"]
+        assert got["exit"] == want["exit"], case_id
         return
     assert {key: got[key] for key in ("exit", "stdout", "stderr", "files")} == {
         key: want[key] for key in ("exit", "stdout", "stderr", "files")
-    }
+    }, case_id
+
+
+@pytest.mark.parametrize("case_id,argv,setup", CASES, ids=[c[0] for c in CASES])
+def test_golden(case_id, argv, setup, tmp_path):
+    _assert_matches(_load(), case_id, argv, run_case(argv, setup, tmp_path))
+
+
+def test_golden_replayed_in_one_process(tmp_path):
+    # the parser is built once per process: help, usage errors and config
+    # errors must leave nothing behind that changes a later run
+    warmups = (["prepare", "--r", "1"], ["displace", "--help"], ["cx", "--bogus"],
+               ["explode"], ["squeeze", "--r", "1", "--tan-theta", "2", "--config", "no.json"])
+    for index, argv in enumerate(warmups):
+        workdir = tmp_path / f"warmup{index}"
+        workdir.mkdir()
+        run_case(argv, {}, workdir)
+    fixture = _load()
+    for index, (case_id, argv, setup) in enumerate(reversed(CASES)):
+        workdir = tmp_path / f"case{index}"
+        workdir.mkdir()
+        _assert_matches(fixture, case_id, argv, run_case(argv, setup, workdir))
 
 
 def record(rerecord: set[str]) -> None:
