@@ -7,12 +7,16 @@ with such an estimate.
 
 Sampling is split into counter-keyed substreams and fixed-size blocks, so
 estimates depend only on (seed, stream layout, block size), never on how the
-work is scheduled.
+work is scheduled. The substreams run on one worker thread per CPU the
+process may use (numpy releases the interpreter lock while it draws and
+sums), and the estimates are bit for bit the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,6 +65,13 @@ def _seed_order(key: Key) -> tuple[str, str]:
     return key[0], key[1].value
 
 
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sample_exprs(
     exprs: Sequence[QuadExpr],
     r: float,
@@ -72,14 +83,19 @@ def sample_exprs(
     Every seed of the expressions, which must share one registry, is drawn
     once per sample and shared by all of them. Substream i draws from
     ``default_rng(SeedSequence([seed, i]))`` in blocks of :data:`BLOCK`
-    samples, each seed in ``(id, axis)`` order, into buffers whose size does
-    not depend on n. Each expression is summed elementwise term by term, and
-    the block means and M2 are merged in block order (Chan, Golub and
-    LeVeque, 1979). An estimate therefore depends only on (seed,
-    stream_count), :data:`BLOCK` and the set of seeds in the call, never on
-    scheduling, the BLAS build, or the order or repetition of ``exprs``. The
-    variance standard error uses the normal-theory formula
+    samples, each seed in ``(id, axis)`` order. Each expression is summed
+    elementwise term by term, and the block means and M2 are merged in block
+    order (Chan, Golub and LeVeque, 1979). An estimate therefore depends
+    only on (seed, stream_count), :data:`BLOCK` and the set of seeds in the
+    call, never on scheduling, the BLAS build, or the order or repetition of
+    ``exprs``. The variance standard error uses the normal-theory formula
     ``var * sqrt(2/(n-1))``.
+
+    The substreams are shared out over min(substreams, CPUs the process may
+    use) workers; the calling thread is one of them, so on one CPU no thread
+    starts. The estimates do not depend on the worker count. Each worker
+    holds fixed buffers of ``len(exprs) + 2`` rows of :data:`BLOCK` floats,
+    and the block moments take 16 bytes per expression per block.
     """
     if n < 1000:
         raise ValueError("need at least 1000 samples")
@@ -92,41 +108,61 @@ def sample_exprs(
     keys = sorted({key for expr in exprs for key in expr.terms}, key=_seed_order)
     laws = [(seed.mean, math.sqrt(seed.variance_at(r)))
             for seed in (registry.seed(*key) for key in keys)]
-    row = {key: j for j, key in enumerate(keys)}
-    plans = [
-        (expr.constant,
-         [(row[key], expr.terms[key]) for key in sorted(expr.terms, key=_seed_order)])
-        for expr in exprs
-    ]
+    # per seed, the (expression, coefficient) pairs it feeds
+    uses = [[(k, expr.terms[key]) for k, expr in enumerate(exprs) if key in expr.terms]
+            for key in keys]
+    constants = [expr.constant for expr in exprs]
 
-    draws = np.empty((len(keys), BLOCK))
-    values = np.empty(BLOCK)
-    work = np.empty(BLOCK)
+    streams = []  # (substream, size, row of its first block)
+    sizes = []  # block sizes in block order
+    for i, size in enumerate(_chunk_sizes(n, rng.stream_count)):
+        streams.append((i, size, len(sizes)))
+        sizes.extend(min(BLOCK, size - start) for start in range(0, size, BLOCK))
+    stats = np.empty((len(sizes), len(exprs), 2))  # block mean and M2
+
+    def draw_streams(part: list[tuple[int, int, int]]) -> None:
+        draw = np.empty(BLOCK)
+        work = np.empty(BLOCK)
+        values = np.empty((len(exprs), BLOCK))
+        for i, size, first in part:
+            gen = np.random.default_rng(np.random.SeedSequence([rng.seed, i]))
+            for g, start in enumerate(range(0, size, BLOCK), first):
+                m = min(BLOCK, size - start)
+                row, tmp, blocks = draw[:m], work[:m], values[:, :m]
+                for block, constant in zip(blocks, constants):
+                    block.fill(constant)
+                for (seed_mean, seed_sd), terms in zip(laws, uses):
+                    gen.standard_normal(out=row)
+                    row *= seed_sd
+                    row += seed_mean
+                    for k, coeff in terms:
+                        np.multiply(row, coeff, out=tmp)
+                        blocks[k] += tmp
+                for k, block in enumerate(blocks):
+                    block_mean = float(block.mean())
+                    np.subtract(block, block_mean, out=tmp)
+                    tmp *= tmp
+                    stats[g, k] = block_mean, float(tmp.sum())
+
+    workers = min(len(streams), _cpus())
+    first, *rest = (streams[w::workers] for w in range(workers))
+    # the pool starts a thread per submitted part only
+    with ThreadPoolExecutor(max(len(rest), 1)) as pool:
+        futures = [pool.submit(draw_streams, part) for part in rest]
+        draw_streams(first)
+    for future in futures:
+        future.result()
+
     moments = [(0.0, 0.0)] * len(exprs)
     total_n = 0
-    for i, size in enumerate(_chunk_sizes(n, rng.stream_count)):
-        gen = np.random.default_rng(np.random.SeedSequence([rng.seed, i]))
-        for start in range(0, size, BLOCK):
-            m = min(BLOCK, size - start)
-            for draw, (seed_mean, seed_sd) in zip(draws, laws):
-                gen.standard_normal(out=draw[:m])
-                draw[:m] *= seed_sd
-                draw[:m] += seed_mean
-            block, tmp = values[:m], work[:m]
-            merged = total_n + m
-            for k, (constant, terms) in enumerate(plans):
-                block.fill(constant)
-                for j, coeff in terms:
-                    np.multiply(draws[j, :m], coeff, out=tmp)
-                    block += tmp
-                block_mean = float(block.mean())
-                np.subtract(block, block_mean, out=tmp)
-                tmp *= tmp
-                mean, m2 = moments[k]
-                delta = block_mean - mean
-                moments[k] = (mean + delta * m / merged,
-                              m2 + float(tmp.sum()) + delta * delta * total_n * m / merged)
-            total_n = merged
+    for m, block_stats in zip(sizes, stats.tolist()):
+        merged = total_n + m
+        for k, (block_mean, block_m2) in enumerate(block_stats):
+            mean, m2 = moments[k]
+            delta = block_mean - mean
+            moments[k] = (mean + delta * m / merged,
+                          m2 + block_m2 + delta * delta * total_n * m / merged)
+        total_n = merged
 
     estimates = []
     for mean, m2 in moments:

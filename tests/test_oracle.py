@@ -1,6 +1,10 @@
 """Monte-Carlo sampling oracle and covariance-matrix cross-check."""
 
+import dataclasses
+import functools
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +14,7 @@ from cvcluster import (
     CLUSTER_NETWORK,
     CxParams,
     RngConfig,
+    SampleEstimate,
     SeedKind,
     SeedRegistry,
     build_cluster,
@@ -22,6 +27,7 @@ from cvcluster import (
     sample_exprs,
     SLOT_MODES,
 )
+from cvcluster import oracle
 from cvcluster.oracle import BLOCK
 
 from reference import beamsplitter_symplectic, covariance_propagate, nullifier_slot_vectors
@@ -187,6 +193,119 @@ class TestJointSampling:
         peak(200_000)  # warm any one-off allocations
         small, large = peak(200_000), peak(2_000_000)
         assert large <= small + 64 * 1024
+
+
+def reference_sample_exprs(exprs, r, n, rng):
+    """The single-threaded loop: all seeds drawn into one matrix per block.
+
+    Substreams run one after another, and each block's moments are merged
+    as soon as the block is summed.
+    """
+    registry = exprs[0].registry
+    order = lambda key: (key[0], key[1].value)  # noqa: E731
+    keys = sorted({key for expr in exprs for key in expr.terms}, key=order)
+    laws = [(seed.mean, math.sqrt(seed.variance_at(r)))
+            for seed in (registry.seed(*key) for key in keys)]
+    row = {key: j for j, key in enumerate(keys)}
+    plans = [(expr.constant, [(row[key], expr.terms[key]) for key in sorted(expr.terms, key=order)])
+             for expr in exprs]
+    draws = np.empty((len(keys), BLOCK))
+    values = np.empty(BLOCK)
+    work = np.empty(BLOCK)
+    moments = [(0.0, 0.0)] * len(exprs)
+    total_n = 0
+    streams = min(rng.stream_count, n)
+    base, extra = divmod(n, streams)
+    for i in range(streams):
+        size = base + (1 if i < extra else 0)
+        gen = np.random.default_rng(np.random.SeedSequence([rng.seed, i]))
+        for start in range(0, size, BLOCK):
+            m = min(BLOCK, size - start)
+            for draw, (seed_mean, seed_sd) in zip(draws, laws):
+                gen.standard_normal(out=draw[:m])
+                draw[:m] *= seed_sd
+                draw[:m] += seed_mean
+            block, tmp = values[:m], work[:m]
+            merged = total_n + m
+            for k, (constant, terms) in enumerate(plans):
+                block.fill(constant)
+                for j, coeff in terms:
+                    np.multiply(draws[j, :m], coeff, out=tmp)
+                    block += tmp
+                block_mean = float(block.mean())
+                np.subtract(block, block_mean, out=tmp)
+                tmp *= tmp
+                mean, m2 = moments[k]
+                delta = block_mean - mean
+                moments[k] = (mean + delta * m / merged,
+                              m2 + float(tmp.sum()) + delta * delta * total_n * m / merged)
+            total_n = merged
+    estimates = []
+    for mean, m2 in moments:
+        variance = m2 / (total_n - 1)
+        estimates.append(SampleEstimate(
+            mean=mean,
+            variance=variance,
+            n=total_n,
+            se_mean=math.sqrt(variance / total_n),
+            se_var=variance * math.sqrt(2.0 / (total_n - 1)),
+        ))
+    return estimates
+
+
+def bits(estimates):
+    """Each estimate's fields, floats as their exact hex form."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(est))
+            for est in estimates]
+
+
+def mixed_exprs():
+    """The four cx outputs, one of them twice, and a constant."""
+    _, quads = cx_quadratures()
+    return [*quads, quads[2], (quads[0] - quads[0]) + 2.5]
+
+
+@functools.cache
+def reference_for(stream_count, n):
+    return reference_sample_exprs(mixed_exprs(), 0.7, n, RngConfig(seed=7, stream_count=stream_count))
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("n", [1000, 16 * BLOCK + 3, 250_001])
+    @pytest.mark.parametrize("stream_count", [1, 3, 7, 16, 40])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_bitwise_equal_to_single_threaded_loop(self, monkeypatch, workers, stream_count, n):
+        monkeypatch.setattr(oracle, "_cpus", lambda: workers)
+        got = sample_exprs(mixed_exprs(), 0.7, n, RngConfig(seed=7, stream_count=stream_count))
+        assert bits(got) == bits(reference_for(stream_count, n))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_failure_reaches_caller(self, monkeypatch, workers):
+        real = np.random.default_rng
+
+        class Broken:
+            def standard_normal(self, out):
+                raise RuntimeError("substream 1 failed")
+
+        monkeypatch.setattr(oracle, "_cpus", lambda: workers)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seq: Broken() if seq.entropy[1] == 1 else real(seq))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="substream 1 failed"):
+            sample_exprs(mixed_exprs(), 0.7, 50_000, RngConfig(seed=7, stream_count=5))
+        assert threading.active_count() == before
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(oracle, "_cpus", lambda: 1)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        got = sample_exprs(mixed_exprs(), 0.7, 1000, RngConfig(seed=7, stream_count=16))
+        assert bits(got) == bits(reference_for(16, 1000))
+
+    def test_cpus_counts_usable_cpus(self):
+        assert 1 <= oracle._cpus() <= (os.cpu_count() or 1)
 
 
 class TestRngConfig:
