@@ -327,6 +327,13 @@ def _phi_noise(phi: float, tan_theta: float) -> float:
     return c * c + (2.0 * tan_theta * c + s) ** 2
 
 
+def _squeezing_tan(theta: float) -> float:
+    t = math.tan(theta)
+    if abs(t) < 1e-12:
+        raise ValueError("tan(theta)=0: variance is flat, no squeezing direction")
+    return t
+
+
 def optimal_detection_angle(theta: float) -> tuple[float, float]:
     """Angle minimizing the rotated output variance, and its noise floor.
 
@@ -334,9 +341,7 @@ def optimal_detection_angle(theta: float) -> tuple[float, float]:
     [0, pi). Returns ``(phi_opt, 1/tan(phi_opt)^2)``; the second value is
     the coherent-input noise at phi_opt, below 1 whenever tan(theta) != 0.
     """
-    t = math.tan(theta)
-    if abs(t) < 1e-12:
-        raise ValueError("tan(theta)=0: variance is flat, no squeezing direction")
+    t = _squeezing_tan(theta)
     double = math.atan2(1.0, t)
     candidates = (0.5 * double, 0.5 * (double + math.pi))
     phi = min(candidates, key=lambda p: _phi_noise(p, t))
@@ -347,11 +352,14 @@ def squeezing_threshold(theta: float) -> float:
     """Squeezing needed before the optimal output quadrature beats shot noise.
 
     Solves ``3 e^{-2r} + noise_floor = 1`` for the coherent-input minimum
-    variance: ``r* = ln(3 / (1 - noise_floor)) / 2``. Raises for
-    tan(theta)=0, where the output never drops below shot noise.
+    variance: ``r* = ln(3 / (1 - noise_floor)) / 2``. Since ``1 -
+    noise_floor = 2|t| / (sqrt(1 + t^2) + |t|)`` with t = tan(theta), this
+    is ``r* = ln(1.5 (1 + sqrt(1 + t^-2))) / 2``, which does not cancel as
+    t -> 0. Raises for tan(theta)=0, where the output never drops below
+    shot noise.
     """
-    _, floor = optimal_detection_angle(theta)
-    return 0.5 * math.log(3.0 / (1.0 - floor))
+    t = _squeezing_tan(theta)
+    return 0.5 * math.log(1.5 * (1.0 + math.sqrt(1.0 + t ** -2)))
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,8 @@ S2 = 1.0 / math.sqrt(2.0)
 
 #: tan(theta) of both signs, log-spaced over [1e-6, 1e8].
 TAN_GRID = [sign * 10.0 ** e for e in np.linspace(-6.0, 8.0, 29) for sign in (1.0, -1.0)]
+#: The same spacing over [1e-12, 1e8], down to the smallest tan(theta) accepted.
+WIDE_TAN_GRID = [sign * 10.0 ** e for e in np.linspace(-12.0, 8.0, 41) for sign in (1.0, -1.0)]
 
 
 def bisected_threshold(theta):
@@ -170,7 +172,7 @@ class TestThreshold:
         assert squeezing_threshold(theta) == pytest.approx(bisected_threshold(theta),
                                                             abs=1e-9)
 
-    @pytest.mark.parametrize("tan_theta", [t for t in TAN_GRID if abs(t) >= 1e-3])
+    @pytest.mark.parametrize("tan_theta", WIDE_TAN_GRID)
     def test_matches_cancellation_free_form(self, tan_theta):
         # 1 - floor = 2|t| / (sqrt(1 + t^2) + |t|), so r* = ln(1.5 (1 + sqrt(1 + t^-2))) / 2
         want = 0.5 * math.log(1.5 * (1.0 + math.sqrt(1.0 + tan_theta ** -2)))
