@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng  # loaded here, not in a worker
 
 from .algebra import Key, QuadExpr, _check_r
 
@@ -120,12 +121,10 @@ def sample_exprs(
         sizes.extend(min(BLOCK, size - start) for start in range(0, size, BLOCK))
     stats = np.empty((len(sizes), len(exprs), 2))  # block mean and M2
 
-    def draw_streams(part: list[tuple[int, int, int]]) -> None:
-        draw = np.empty(BLOCK)
-        work = np.empty(BLOCK)
-        values = np.empty((len(exprs), BLOCK))
+    def draw_streams(part: list[tuple[int, int, int]], buffers: np.ndarray) -> None:
+        draw, work, values = buffers[0], buffers[1], buffers[2:]
         for i, size, first in part:
-            gen = np.random.default_rng(np.random.SeedSequence([rng.seed, i]))
+            gen = default_rng(SeedSequence([rng.seed, i]))
             for g, start in enumerate(range(0, size, BLOCK), first):
                 m = min(BLOCK, size - start)
                 row, tmp, blocks = draw[:m], work[:m], values[:, :m]
@@ -145,19 +144,31 @@ def sample_exprs(
                     stats[g, k] = block_mean, float(tmp.sum())
 
     workers = min(len(streams), _cpus())
-    first, *rest = (streams[w::workers] for w in range(workers))
-    # the pool starts a thread per submitted part only
-    with ThreadPoolExecutor(max(len(rest), 1)) as pool:
-        futures = [pool.submit(draw_streams, part) for part in rest]
-        draw_streams(first)
-    for future in futures:
-        future.result()
+    # Allocated here, like numpy.random at import: memory that a worker
+    # thread allocates lands in an allocator arena of its own and is kept.
+    buffers = np.empty((workers, len(exprs) + 2, BLOCK))
+    errors: list[BaseException] = []
+
+    def worker(w: int) -> None:
+        try:
+            draw_streams(streams[w::workers], buffers[w])
+        except BaseException as exc:  # raised again once every worker is done
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    worker(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
     moments = [(0.0, 0.0)] * len(exprs)
     total_n = 0
-    for m, block_stats in zip(sizes, stats.tolist()):
+    for m, block_stats in zip(sizes, stats):
         merged = total_n + m
-        for k, (block_mean, block_m2) in enumerate(block_stats):
+        for k, (block_mean, block_m2) in enumerate(block_stats.tolist()):
             mean, m2 = moments[k]
             delta = block_mean - mean
             moments[k] = (mean + delta * m / merged,

@@ -281,14 +281,14 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_failure_reaches_caller(self, monkeypatch, workers):
-        real = np.random.default_rng
+        real = oracle.default_rng
 
         class Broken:
             def standard_normal(self, out):
                 raise RuntimeError("substream 1 failed")
 
         monkeypatch.setattr(oracle, "_cpus", lambda: workers)
-        monkeypatch.setattr(np.random, "default_rng",
+        monkeypatch.setattr(oracle, "default_rng",
                             lambda seq: Broken() if seq.entropy[1] == 1 else real(seq))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="substream 1 failed"):
