@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -202,7 +203,10 @@ def reference_sample_exprs(exprs, r, n, rng):
     as soon as the block is summed.
     """
     registry = exprs[0].registry
-    order = lambda key: (key[0], key[1].value)  # noqa: E731
+
+    def order(key):
+        return key[0], key[1].value
+
     keys = sorted({key for expr in exprs for key in expr.terms}, key=order)
     laws = [(seed.mean, math.sqrt(seed.variance_at(r)))
             for seed in (registry.seed(*key) for key in keys)]
@@ -278,6 +282,17 @@ class TestWorkers:
         monkeypatch.setattr(oracle, "_cpus", lambda: workers)
         got = sample_exprs(mixed_exprs(), 0.7, n, RngConfig(seed=7, stream_count=stream_count))
         assert bits(got) == bits(reference_for(stream_count, n))
+
+    def test_bitwise_equal_under_fast_thread_switching(self, monkeypatch):
+        # more workers than CPUs, switching threads as often as the interpreter allows
+        monkeypatch.setattr(oracle, "_cpus", lambda: 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample_exprs(mixed_exprs(), 0.7, 250_001, RngConfig(seed=7, stream_count=40))
+        finally:
+            sys.setswitchinterval(interval)
+        assert bits(got) == bits(reference_for(40, 250_001))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_failure_reaches_caller(self, monkeypatch, workers):
