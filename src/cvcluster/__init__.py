@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 #: Public names by defining submodule.
 _EXPORTS = {
     "algebra": (
-        "Axis", "ModePair", "PRUNE_TOL", "QuadExpr", "SeedKind", "SeedRegistry",
-        "SeedVar", "beamsplitter", "rotate_quadrature", "squeezed_variance",
+        "Axis", "ModePair", "PRUNE_TOL", "QuadExpr", "SeedKind", "SeedVar", "beamsplitter",
+        "input_mode", "rotate_quadrature", "squeezed_mode", "squeezed_variance",
     ),
     "analysis": (
         "CurveDataset", "GaussianMoments", "fig3_dataset", "fig4_dataset",
@@ -43,8 +43,7 @@ _EXPORTS = {
     ),
     "io": ("dataset_to_csv", "dataset_to_json", "format_float", "write_dataset"),
     "oracle": (
-        "CertifyResult", "RngConfig", "SampleEstimate", "certify", "sample_expr",
-        "sample_exprs",
+        "CertifyResult", "SampleEstimate", "certify", "sample_expr", "sample_exprs",
     ),
 }
 

@@ -7,6 +7,11 @@ signals. A :class:`QuadExpr` stores the coefficient of each seed plus a
 deterministic constant, so means, variances and covariances are exact sums
 rather than numerical estimates.
 
+Sources come from :func:`squeezed_mode` and :func:`input_mode`, each call a
+pair of fresh seeds. Terms are keyed by the :class:`SeedVar` objects, which
+compare by identity, so expressions over separately made sources combine
+freely and their seeds are independent.
+
 Conventions used throughout:
 
 * the amplitude quadrature is ``x``, the phase quadrature is ``y``;
@@ -60,11 +65,12 @@ def squeezed_variance(kind: SeedKind, axis: Axis, r: float) -> float:
     return math.exp(-2.0 * r) if quiet else math.exp(2.0 * r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeedVar:
     """One independent Gaussian seed variable.
 
-    ``(id, axis)`` identifies the seed inside its registry. External seeds
+    Seeds compare and hash by identity, so an expression's terms are keyed
+    by the seed objects themselves; ``id`` is only a name. External seeds
     carry a caller-supplied mean and variance; squeezed seeds have zero mean
     and an r-dependent variance given by :func:`squeezed_variance`.
     """
@@ -89,68 +95,6 @@ class SeedVar:
         return squeezed_variance(self.kind, self.axis, r)
 
 
-Key = tuple[str, Axis]
-
-
-class SeedRegistry:
-    """Append-only store of seed variables.
-
-    The registry only ever grows. Expressions hold a reference and look
-    seeds up at evaluation time, so concurrent readers are safe once a seed
-    exists.
-    """
-
-    def __init__(self) -> None:
-        self._seeds: dict[Key, SeedVar] = {}
-        self._auto = 0
-
-    def seed(self, seed_id: str, axis: Axis) -> SeedVar:
-        try:
-            return self._seeds[(seed_id, axis)]
-        except KeyError:
-            raise ValueError(f"unknown seed {seed_id!r}/{axis.value}") from None
-
-    def _fresh_label(self, label: str | None) -> str:
-        if label is None:
-            label = f"s{self._auto}"
-            self._auto += 1
-        if (label, Axis.X) in self._seeds or (label, Axis.Y) in self._seeds:
-            raise ValueError(f"seed label {label!r} already in use")
-        return label
-
-    def _register(self, seed: SeedVar) -> None:
-        self._seeds[(seed.id, seed.axis)] = seed
-
-    def _pair(self, label: str) -> "ModePair":
-        return ModePair(QuadExpr(self, {(label, Axis.X): 1.0}),
-                        QuadExpr(self, {(label, Axis.Y): 1.0}))
-
-    def squeezed_mode(self, kind: SeedKind, label: str | None = None) -> "ModePair":
-        """Create a fresh squeezed source and return its quadrature pair."""
-        if kind is SeedKind.EXTERNAL:
-            raise ValueError("use input_mode() for external signals")
-        label = self._fresh_label(label)
-        for axis in (Axis.X, Axis.Y):
-            self._register(SeedVar(label, axis, kind))
-        return self._pair(label)
-
-    def input_mode(
-        self,
-        mean_x: float = 0.0,
-        mean_y: float = 0.0,
-        var_x: float = 1.0,
-        var_y: float = 1.0,
-        label: str | None = None,
-    ) -> "ModePair":
-        """Create a fresh external input signal with the given moments."""
-        if var_x < 0 or var_y < 0:
-            raise ValueError("input variances must be >= 0")
-        label = self._fresh_label(label)
-        self._register(SeedVar(label, Axis.X, SeedKind.EXTERNAL, float(mean_x), float(var_x)))
-        self._register(SeedVar(label, Axis.Y, SeedKind.EXTERNAL, float(mean_y), float(var_y)))
-        return self._pair(label)
-
-
 class QuadExpr:
     """A quadrature observable: ``sum(coeff * seed) + constant``.
 
@@ -158,18 +102,16 @@ class QuadExpr:
     coefficients below :data:`PRUNE_TOL` dropped.
     """
 
-    __slots__ = ("_registry", "_terms", "_constant")
+    __slots__ = ("_terms", "_constant")
 
     def __init__(
         self,
-        registry: SeedRegistry,
-        terms: Mapping[Key, float] | None = None,
+        terms: Mapping[SeedVar, float] | None = None,
         constant: float = 0.0,
     ) -> None:
         pruned = {
-            key: float(c) for key, c in (terms or {}).items() if abs(c) >= PRUNE_TOL
+            seed: float(c) for seed, c in (terms or {}).items() if abs(c) >= PRUNE_TOL
         }
-        object.__setattr__(self, "_registry", registry)
         object.__setattr__(self, "_terms", pruned)
         object.__setattr__(self, "_constant", float(constant))
 
@@ -177,11 +119,7 @@ class QuadExpr:
         raise AttributeError("QuadExpr is immutable")
 
     @property
-    def registry(self) -> SeedRegistry:
-        return self._registry
-
-    @property
-    def terms(self) -> Mapping[Key, float]:
+    def terms(self) -> Mapping[SeedVar, float]:
         return MappingProxyType(self._terms)
 
     @property
@@ -189,31 +127,27 @@ class QuadExpr:
         return self._constant
 
     def coefficient(self, seed_id: str, axis: Axis | str) -> float:
-        if isinstance(axis, str):
-            axis = Axis(axis)
-        return self._terms.get((seed_id, axis), 0.0)
+        """Coefficient of the seed named ``seed_id`` on ``axis`` (0 if absent)."""
+        axis = Axis(axis)
+        return next((c for seed, c in self._terms.items()
+                     if seed.id == seed_id and seed.axis is axis), 0.0)
 
     # arithmetic ----------------------------------------------------------
 
-    def _like(self, terms: dict[Key, float], constant: float) -> "QuadExpr":
-        return QuadExpr(self._registry, terms, constant)
-
     def __add__(self, other: "QuadExpr | float | int") -> "QuadExpr":
         if isinstance(other, QuadExpr):
-            if other._registry is not self._registry:
-                raise ValueError("seed registry mismatch")
             terms = dict(self._terms)
-            for key, c in other._terms.items():
-                terms[key] = terms.get(key, 0.0) + c
-            return self._like(terms, self._constant + other._constant)
+            for seed, c in other._terms.items():
+                terms[seed] = terms.get(seed, 0.0) + c
+            return QuadExpr(terms, self._constant + other._constant)
         if isinstance(other, (int, float)):
-            return self._like(dict(self._terms), self._constant + float(other))
+            return QuadExpr(self._terms, self._constant + float(other))
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadExpr":
-        return self._like({k: -c for k, c in self._terms.items()}, -self._constant)
+        return QuadExpr({s: -c for s, c in self._terms.items()}, -self._constant)
 
     def __sub__(self, other: "QuadExpr | float | int") -> "QuadExpr":
         if isinstance(other, QuadExpr):
@@ -229,7 +163,7 @@ class QuadExpr:
         if not isinstance(scalar, (int, float)):
             return NotImplemented
         s = float(scalar)
-        return self._like({k: s * c for k, c in self._terms.items()}, s * self._constant)
+        return QuadExpr({seed: s * c for seed, c in self._terms.items()}, s * self._constant)
 
     __rmul__ = __mul__
 
@@ -238,8 +172,8 @@ class QuadExpr:
     def mean(self) -> float:
         """Expectation value; squeezed seeds contribute nothing."""
         total = self._constant
-        for (sid, axis), c in self._terms.items():
-            total += c * self._registry.seed(sid, axis).mean
+        for seed, c in self._terms.items():
+            total += c * seed.mean
         return total
 
     def covariance(self, other: "QuadExpr", r: float) -> float:
@@ -247,16 +181,14 @@ class QuadExpr:
 
         Seeds are mutually independent, so only shared seeds contribute.
         """
-        if other._registry is not self._registry:
-            raise ValueError("seed registry mismatch")
         small, large = self._terms, other._terms
         if len(large) < len(small):
             small, large = large, small
         total = 0.0
-        for key, c1 in small.items():
-            c2 = large.get(key)
+        for seed, c1 in small.items():
+            c2 = large.get(seed)
             if c2 is not None:
-                total += c1 * c2 * self._registry.seed(*key).variance_at(r)
+                total += c1 * c2 * seed.variance_at(r)
         return total
 
     def variance(self, r: float) -> float:
@@ -270,9 +202,28 @@ class ModePair:
     x: QuadExpr
     y: QuadExpr
 
-    def __post_init__(self) -> None:
-        if self.x.registry is not self.y.registry:
-            raise ValueError("seed registry mismatch")
+
+def _pair(x: SeedVar, y: SeedVar) -> ModePair:
+    return ModePair(QuadExpr({x: 1.0}), QuadExpr({y: 1.0}))
+
+
+def squeezed_mode(kind: SeedKind, label: str) -> ModePair:
+    """A fresh squeezed source named ``label``, as its quadrature pair."""
+    if kind is SeedKind.EXTERNAL:
+        raise ValueError("use input_mode() for external signals")
+    return _pair(SeedVar(label, Axis.X, kind), SeedVar(label, Axis.Y, kind))
+
+
+def input_mode(
+    label: str,
+    mean_x: float = 0.0,
+    mean_y: float = 0.0,
+    var_x: float = 1.0,
+    var_y: float = 1.0,
+) -> ModePair:
+    """A fresh external input signal named ``label`` with the given moments."""
+    return _pair(SeedVar(label, Axis.X, SeedKind.EXTERNAL, float(mean_x), float(var_x)),
+                 SeedVar(label, Axis.Y, SeedKind.EXTERNAL, float(mean_y), float(var_y)))
 
 
 def splitter_matrix(transmittance: float, phase_diff: float = 0.0) -> tuple[tuple, ...]:
@@ -309,19 +260,17 @@ def beamsplitter(
     below :data:`PRUNE_TOL`, such as cos(pi/2), are skipped.
     """
     matrix = splitter_matrix(transmittance, phase_diff)
-    if a.x.registry is not b.x.registry:
-        raise ValueError("seed registry mismatch")
     quads = (a.x, a.y, b.x, b.y)
     out = []
     for row in matrix:
-        terms: dict[Key, float] = {}
+        terms: dict[SeedVar, float] = {}
         constant = 0.0
         for m, quad in zip(row, quads):
             if abs(m) >= PRUNE_TOL:
-                for key, c in quad._terms.items():
-                    terms[key] = terms.get(key, 0.0) + m * c
+                for seed, c in quad._terms.items():
+                    terms[seed] = terms.get(seed, 0.0) + m * c
                 constant += m * quad._constant
-        out.append(QuadExpr(a.x.registry, terms, constant))
+        out.append(QuadExpr(terms, constant))
     return ModePair(*out[:2]), ModePair(*out[2:])
 
 

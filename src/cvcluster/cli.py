@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -356,21 +356,12 @@ def _run_gate(
         from . import oracle
 
         distinct = list({id(expr): expr for _, _, expr, _ in checks}.values())
-        samples = oracle.sample_exprs(distinct, r, cfg["samples"],
-                                      oracle.RngConfig(seed=cfg["seed"]))
+        samples = oracle.sample_exprs(distinct, r, cfg["samples"], cfg["seed"])
         estimates = {id(expr): est for expr, est in zip(distinct, samples)}
         rows = []
         for name, statistic, expr, analytic in checks:
             res = oracle.certify(analytic, estimates[id(expr)], CERTIFY_K, statistic)
-            rows.append({
-                "name": name,
-                "statistic": statistic,
-                "analytic": res.analytic,
-                "estimate": res.estimate,
-                "se": res.se,
-                "k_sigma": res.k_sigma,
-                "passed": res.passed,
-            })
+            rows.append({"name": name, **asdict(res)})
         results["certifications"] = rows
         results["certified"] = all(cert["passed"] for cert in rows)
         if not results["certified"]:
@@ -459,8 +450,11 @@ def cmd_squeeze(cfg: dict) -> int:
         before[key] = result.meta[key]
     after: dict = {}
     extra = ()
-    if abs(result.meta["tan_theta"]) >= 1e-12:
+    try:
         phi_opt, floor = optimal_detection_angle(cfg["theta"])
+    except ValueError:  # tan(theta) = 0
+        after["note"] = "tan(theta)=0: rotated variance has no squeezing direction"
+    else:
         after["phi_opt"] = phi_opt
         after["v_min_coherent"] = 3.0 * math.exp(-2.0 * r) + floor
         after["threshold_r"] = squeezing_threshold(cfg["theta"])
@@ -468,8 +462,6 @@ def cmd_squeeze(cfg: dict) -> int:
             rotated = rotate_quadrature(result.modes["out"], phi_opt)
             extra = (("rotated_var_at_phi_opt", rotated,
                       rotated_output_variance(params, r, phi_opt)),)
-    else:
-        after["note"] = "tan(theta)=0: rotated variance has no squeezing direction"
     if cfg["phi"] is not None:
         after["v_at_phi"] = rotated_output_variance(params, r, cfg["phi"])
     scan = None

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .algebra import Axis, ModePair, QuadExpr, SeedKind, SeedRegistry, _check_r, beamsplitter
+from .algebra import Axis, ModePair, QuadExpr, SeedKind, _check_r, beamsplitter, squeezed_mode
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,9 @@ class ClusterState:
         return getattr(self, name)
 
 
-def build_cluster(registry: SeedRegistry | None = None) -> ClusterState:
-    """Run the preparation network and return the cluster modes.
-
-    A fresh registry is created unless one is supplied (gates pass their own
-    so input signals share it).
-    """
-    reg = SeedRegistry() if registry is None else registry
-    slots = [
-        reg.squeezed_mode(kind, label)
-        for kind, label in zip(SOURCE_KINDS, SOURCE_LABELS)
-    ]
+def build_cluster() -> ClusterState:
+    """Run the preparation network on four fresh sources; return the cluster modes."""
+    slots = [squeezed_mode(kind, label) for kind, label in zip(SOURCE_KINDS, SOURCE_LABELS)]
     for spec in CLUSTER_NETWORK:
         out_a, out_b = beamsplitter(
             slots[spec.mode_a], slots[spec.mode_b], spec.transmittance, spec.phase_diff

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .algebra import ModePair, SeedRegistry, _check_r, beamsplitter, rotate_quadrature
+from .algebra import ModePair, _check_r, beamsplitter, input_mode, rotate_quadrature
 from .cluster import ClusterState, build_cluster
 
 #: Fixed feedforward gains of the displacement gate. The first detector's
@@ -78,11 +78,10 @@ def _couple(r: float, *inputs: tuple) -> tuple[ClusterState, list]:
     with its cluster mode, which takes the first port, on a 50:50 splitter.
     """
     _check_r(r)
-    registry = SeedRegistry()
-    cluster = build_cluster(registry)
+    cluster = build_cluster()
     return cluster, [
-        beamsplitter(cluster.mode(mode), registry.input_mode(*moments, label=label), 0.5, 0.0)
-        for mode, label, *moments in inputs
+        beamsplitter(cluster.mode(mode), input_mode(*source), 0.5, 0.0)
+        for mode, *source in inputs
     ]
 
 
@@ -285,7 +284,7 @@ def squeezer_gate(params: SqueezerParams, r: float) -> GateResult:
     ``+2 tan(theta)`` cross-coupling from the input phase (recorded in
     ``meta["cross_coefficient"]``).
     """
-    tan_t = math.tan(params.theta)
+    tan_t = params.tan_theta
     cluster, [(c1, c2)] = _couple(
         r, ("b1", "in", params.mean_x, params.mean_y, params.var_x, params.var_y)
     )

@@ -5,11 +5,13 @@ Gaussian law and evaluates each expression sample by sample, giving
 estimates with standard errors; :func:`certify` compares an analytic moment
 with such an estimate.
 
-Sampling is split into counter-keyed substreams and fixed-size blocks, so
-estimates depend only on (seed, stream layout, block size), never on how the
-work is scheduled. The substreams run on one worker thread per CPU the
-process may use (numpy releases the interpreter lock while it draws and
-sums), and the estimates are bit for bit the same on any number of CPUs.
+Sampling is split into :data:`STREAMS` counter-keyed substreams and blocks
+of :data:`BLOCK` samples, and each block draws the seeds in ``(id, axis)``
+order, so estimates depend only on the integer seed, those two constants and
+the seeds' names, never on how the work is scheduled. The substreams run
+on one worker thread per CPU the process may use (numpy releases the
+interpreter lock while it draws and sums), and the estimates are bit for
+bit the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -23,26 +25,15 @@ from typing import Sequence
 import numpy as np
 from numpy.random import SeedSequence, default_rng  # loaded here, not in a worker
 
-from .algebra import Key, QuadExpr, _check_r
+from .algebra import QuadExpr, SeedVar, _check_r
 
 _MAX_SEED = 2**64
 
 #: Samples drawn per seed and substream at a time. Estimates depend on it.
 BLOCK = 8192
 
-
-@dataclass(frozen=True)
-class RngConfig:
-    """Deterministic sampling layout: base seed plus substream count."""
-
-    seed: int = 0
-    stream_count: int = 16
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.stream_count < 1:
-            raise ValueError("stream_count must be >= 1")
+#: Counter-keyed substreams a call is split into. Estimates depend on it.
+STREAMS = 16
 
 
 @dataclass(frozen=True)
@@ -62,8 +53,8 @@ def _chunk_sizes(n: int, streams: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(streams)]
 
 
-def _seed_order(key: Key) -> tuple[str, str]:
-    return key[0], key[1].value
+def _seed_order(seed: SeedVar) -> tuple[str, str]:
+    return seed.id, seed.axis.value
 
 
 def _cpus() -> int:
@@ -77,20 +68,21 @@ def sample_exprs(
     exprs: Sequence[QuadExpr],
     r: float,
     n: int,
-    rng: RngConfig = RngConfig(),
+    seed: int = 0,
 ) -> list[SampleEstimate]:
     """Estimate several expressions' means and variances from n joint samples.
 
-    Every seed of the expressions, which must share one registry, is drawn
-    once per sample and shared by all of them. Substream i draws from
-    ``default_rng(SeedSequence([seed, i]))`` in blocks of :data:`BLOCK`
-    samples, each seed in ``(id, axis)`` order. Each expression is summed
+    Every seed of the expressions is drawn once per sample and shared by all
+    of them. The sample is split into :data:`STREAMS` substreams; substream
+    i draws from ``default_rng(SeedSequence([seed, i]))`` in blocks of
+    :data:`BLOCK` samples, each seed in ``(id, axis)`` order, so two seeds
+    of one call must not share a name and axis. Each expression is summed
     elementwise term by term, and the block means and M2 are merged in block
     order (Chan, Golub and LeVeque, 1979). An estimate therefore depends
-    only on (seed, stream_count), :data:`BLOCK` and the set of seeds in the
-    call, never on scheduling, the BLAS build, or the order or repetition of
-    ``exprs``. The variance standard error uses the normal-theory formula
-    ``var * sqrt(2/(n-1))``.
+    only on ``seed``, :data:`STREAMS`, :data:`BLOCK` and the names of the
+    seeds in the call, never on scheduling, the BLAS build, or the order or
+    repetition of ``exprs``. The variance standard error uses the
+    normal-theory formula ``var * sqrt(2/(n-1))``.
 
     The substreams are shared out over min(substreams, CPUs the process may
     use) workers; the calling thread is one of them, so on one CPU no thread
@@ -100,23 +92,24 @@ def sample_exprs(
     """
     if n < 1000:
         raise ValueError("need at least 1000 samples")
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError("seed must be a 64-bit unsigned integer")
     _check_r(r)
     if not exprs:
         return []
-    registry = exprs[0].registry
-    if any(expr.registry is not registry for expr in exprs):
-        raise ValueError("seed registry mismatch")
-    keys = sorted({key for expr in exprs for key in expr.terms}, key=_seed_order)
-    laws = [(seed.mean, math.sqrt(seed.variance_at(r)))
-            for seed in (registry.seed(*key) for key in keys)]
+    seeds = sorted({s for expr in exprs for s in expr.terms}, key=_seed_order)
+    for a, b in zip(seeds, seeds[1:]):
+        if _seed_order(a) == _seed_order(b):
+            raise ValueError(f"two seeds named {a.id!r}/{a.axis.value} in one draw")
+    laws = [(s.mean, math.sqrt(s.variance_at(r))) for s in seeds]
     # per seed, the (expression, coefficient) pairs it feeds
-    uses = [[(k, expr.terms[key]) for k, expr in enumerate(exprs) if key in expr.terms]
-            for key in keys]
+    uses = [[(k, expr.terms[s]) for k, expr in enumerate(exprs) if s in expr.terms]
+            for s in seeds]
     constants = [expr.constant for expr in exprs]
 
     streams = []  # (substream, size, row of its first block)
     sizes = []  # block sizes in block order
-    for i, size in enumerate(_chunk_sizes(n, rng.stream_count)):
+    for i, size in enumerate(_chunk_sizes(n, STREAMS)):
         streams.append((i, size, len(sizes)))
         sizes.extend(min(BLOCK, size - start) for start in range(0, size, BLOCK))
     stats = np.empty((len(sizes), len(exprs), 2))  # block mean and M2
@@ -124,7 +117,7 @@ def sample_exprs(
     def draw_streams(part: list[tuple[int, int, int]], buffers: np.ndarray) -> None:
         draw, work, values = buffers[0], buffers[1], buffers[2:]
         for i, size, first in part:
-            gen = default_rng(SeedSequence([rng.seed, i]))
+            gen = default_rng(SeedSequence([seed, i]))
             for g, start in enumerate(range(0, size, BLOCK), first):
                 m = min(BLOCK, size - start)
                 row, tmp, blocks = draw[:m], work[:m], values[:, :m]
@@ -192,10 +185,10 @@ def sample_expr(
     expr: QuadExpr,
     r: float,
     n: int,
-    rng: RngConfig = RngConfig(),
+    seed: int = 0,
 ) -> SampleEstimate:
     """Estimate one expression's mean and variance; see :func:`sample_exprs`."""
-    return sample_exprs((expr,), r, n, rng)[0]
+    return sample_exprs((expr,), r, n, seed)[0]
 
 
 # --------------------------------------------------------------------------
@@ -213,10 +206,6 @@ class CertifyResult:
     se: float
     k_sigma: float
     statistic: str
-
-    @property
-    def delta(self) -> float:
-        return abs(self.analytic - self.estimate)
 
 
 def certify(

@@ -13,16 +13,16 @@ from cvcluster import (
     Axis,
     PRUNE_TOL,
     SeedKind,
-    SeedRegistry,
     beamsplitter,
+    input_mode,
     rotate_quadrature,
+    squeezed_mode,
     squeezed_variance,
 )
 
 
-def fresh_pair(kind=SeedKind.PHASE_QUIET, label=None):
-    reg = SeedRegistry()
-    return reg, reg.squeezed_mode(kind, label=label)
+def fresh_pair(kind=SeedKind.PHASE_QUIET, label="m"):
+    return squeezed_mode(kind, label)
 
 
 class TestSqueezedVariance:
@@ -57,33 +57,14 @@ class TestSqueezedVariance:
 
 
 class TestRegistry:
-    def test_unknown_seed(self):
-        reg = SeedRegistry()
-        with pytest.raises(ValueError, match="unknown seed"):
-            reg.seed("nope", Axis.X)
-
-    def test_labels_unique(self):
-        reg = SeedRegistry()
-        reg.squeezed_mode(SeedKind.PHASE_QUIET, label="a")
-        with pytest.raises(ValueError):
-            reg.squeezed_mode(SeedKind.PHASE_QUIET, label="a")
-
-    def test_auto_labels_do_not_collide(self):
-        reg = SeedRegistry()
-        m1 = reg.squeezed_mode(SeedKind.PHASE_QUIET)
-        m2 = reg.squeezed_mode(SeedKind.AMPLITUDE_QUIET)
-        (k1,) = m1.x.terms
-        (k2,) = m2.x.terms
-        assert k1[0] != k2[0]
+    """Sources: each squeezed_mode or input_mode call makes fresh seeds."""
 
     def test_input_mode_variance_validation(self):
-        reg = SeedRegistry()
         with pytest.raises(ValueError):
-            reg.input_mode(0.0, 0.0, -1.0, 1.0, label="bad")
+            input_mode("bad", 0.0, 0.0, -1.0, 1.0)
 
     def test_input_mode_moments(self):
-        reg = SeedRegistry()
-        mode = reg.input_mode(1.5, -0.5, 2.0, 3.0, label="in")
+        mode = input_mode("in", 1.5, -0.5, 2.0, 3.0)
         assert mode.x.mean() == pytest.approx(1.5, abs=1e-15)
         assert mode.y.mean() == pytest.approx(-0.5, abs=1e-15)
         assert mode.x.variance(0.0) == pytest.approx(2.0, abs=1e-15)
@@ -92,59 +73,61 @@ class TestRegistry:
 
 class TestExpressionArithmetic:
     def test_mean_is_affine(self):
-        reg = SeedRegistry()
-        mode = reg.input_mode(1.0, 0.0, 1.0, 1.0, label="in")
+        mode = input_mode("in", 1.0, 0.0, 1.0, 1.0)
         expr = math.sqrt(2.0) * mode.x + 2.0
         assert expr.mean() == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-15)
 
     def test_variance_scales_quadratically(self):
-        reg, mode = fresh_pair(SeedKind.AMPLITUDE_QUIET)
+        mode = fresh_pair(SeedKind.AMPLITUDE_QUIET)
         expr = 3.0 * mode.x
         assert expr.variance(1.0) == pytest.approx(9.0 * math.exp(-2.0), abs=1e-14)
 
     def test_covariance_shared_seed(self):
-        reg, mode = fresh_pair(SeedKind.AMPLITUDE_QUIET)
+        mode = fresh_pair(SeedKind.AMPLITUDE_QUIET)
         u = 2.0 * mode.x
         v = 3.0 * mode.x + 5.0
         assert u.covariance(v, 1.0) == pytest.approx(6.0 * math.exp(-2.0), abs=1e-14)
 
     def test_disjoint_seeds_uncorrelated(self):
-        reg = SeedRegistry()
-        m1 = reg.squeezed_mode(SeedKind.PHASE_QUIET)
-        m2 = reg.squeezed_mode(SeedKind.PHASE_QUIET)
+        m1 = squeezed_mode(SeedKind.PHASE_QUIET, "a")
+        m2 = squeezed_mode(SeedKind.PHASE_QUIET, "b")
         assert m1.x.covariance(m2.x, 1.3) == 0.0
 
     def test_cancellation_prunes(self):
-        reg, mode = fresh_pair()
+        mode = fresh_pair()
         expr = mode.x - mode.x
         assert not expr.terms
         assert expr.variance(2.0) == 0.0
 
     def test_tiny_coefficients_prune(self):
-        reg, mode = fresh_pair()
+        mode = fresh_pair()
         expr = (PRUNE_TOL / 10.0) * mode.x
         assert not expr.terms
 
     def test_immutable(self):
-        reg, mode = fresh_pair()
+        mode = fresh_pair()
         with pytest.raises(AttributeError):
             mode.x.constant = 5.0
 
-    def test_registry_mismatch(self):
-        _, m1 = fresh_pair()
-        _, m2 = fresh_pair()
-        with pytest.raises(ValueError):
-            m1.x + m2.x
-        with pytest.raises(ValueError):
-            m1.x.covariance(m2.x, 1.0)
+    def test_separate_sources_independent(self):
+        # seeds are told apart by identity: two sources with one name still
+        # give two independent seeds per axis
+        m1 = fresh_pair(SeedKind.PHASE_QUIET)
+        m2 = fresh_pair(SeedKind.AMPLITUDE_QUIET)
+        total = m1.x + m2.x
+        assert len(total.terms) == 2
+        for r in (0.0, 1.0):
+            assert m1.x.covariance(m2.x, r) == 0.0
+            assert total.variance(r) == m1.x.variance(r) + m2.x.variance(r)
+        assert (m1.x - m2.x).covariance(m1.x, 1.0) == m1.x.variance(1.0)
 
     def test_expression_product_rejected(self):
-        reg, mode = fresh_pair()
+        mode = fresh_pair()
         with pytest.raises(TypeError):
             mode.x * mode.y
 
     def test_negative_r_rejected(self):
-        reg, mode = fresh_pair()
+        mode = fresh_pair()
         with pytest.raises(ValueError):
             mode.x.variance(-1.0)
 
@@ -155,9 +138,8 @@ class TestExpressionArithmetic:
     )
     @settings(max_examples=50, deadline=None)
     def test_covariance_bilinear(self, a, b, r):
-        reg = SeedRegistry()
-        m1 = reg.squeezed_mode(SeedKind.PHASE_QUIET, label="p")
-        m2 = reg.squeezed_mode(SeedKind.AMPLITUDE_QUIET, label="q")
+        m1 = squeezed_mode(SeedKind.PHASE_QUIET, "p")
+        m2 = squeezed_mode(SeedKind.AMPLITUDE_QUIET, "q")
         u, v, w = m1.x, m2.y, m1.x + 0.5 * m2.y
         lhs = (a * u + b * v).covariance(w, r)
         rhs = a * u.covariance(w, r) + b * v.covariance(w, r)
@@ -166,9 +148,8 @@ class TestExpressionArithmetic:
 
 class TestBeamsplitter:
     def test_balanced_no_phase(self):
-        reg = SeedRegistry()
-        a = reg.input_mode(0.0, 0.0, 1.0, 1.0, label="a")
-        b = reg.input_mode(0.0, 0.0, 1.0, 1.0, label="b")
+        a = input_mode("a", 0.0, 0.0, 1.0, 1.0)
+        b = input_mode("b", 0.0, 0.0, 1.0, 1.0)
         o1, o2 = beamsplitter(a, b, 0.5)
         s = 1.0 / math.sqrt(2.0)
         assert o1.x.coefficient("a", Axis.X) == pytest.approx(s, abs=1e-15)
@@ -177,9 +158,8 @@ class TestBeamsplitter:
         assert o2.x.coefficient("b", Axis.X) == pytest.approx(-s, abs=1e-15)
 
     def test_phase_rotates_second_input(self):
-        reg = SeedRegistry()
-        a = reg.input_mode(0.0, 0.0, 1.0, 1.0, label="a")
-        b = reg.input_mode(0.0, 0.0, 1.0, 1.0, label="b")
+        a = input_mode("a", 0.0, 0.0, 1.0, 1.0)
+        b = input_mode("b", 0.0, 0.0, 1.0, 1.0)
         o1, _ = beamsplitter(a, b, 0.5, math.pi / 2.0)
         # quarter-wave phase swaps the partner quadratures: x picks up -y
         s = 1.0 / math.sqrt(2.0)
@@ -188,9 +168,8 @@ class TestBeamsplitter:
         assert abs(o1.x.coefficient("b", Axis.X)) < 1e-15
 
     def test_balanced_self_inverse(self):
-        reg = SeedRegistry()
-        a = reg.input_mode(0.0, 0.0, 1.0, 1.0, label="a")
-        b = reg.input_mode(0.0, 0.0, 1.0, 1.0, label="b")
+        a = input_mode("a", 0.0, 0.0, 1.0, 1.0)
+        b = input_mode("b", 0.0, 0.0, 1.0, 1.0)
         o1, o2 = beamsplitter(a, b, 0.5)
         p1, p2 = beamsplitter(o1, o2, 0.5)
         assert p1.x.coefficient("a", Axis.X) == pytest.approx(1.0, abs=1e-12)
@@ -201,9 +180,8 @@ class TestBeamsplitter:
     def test_near_unit_transmittance_keeps_moments(self):
         # cross coupling scales as sqrt(1-tau), so the identity holds at the
         # moment level, not coefficient by coefficient
-        reg = SeedRegistry()
-        a = reg.squeezed_mode(SeedKind.PHASE_QUIET, label="a")
-        b = reg.squeezed_mode(SeedKind.AMPLITUDE_QUIET, label="b")
+        a = squeezed_mode(SeedKind.PHASE_QUIET, "a")
+        b = squeezed_mode(SeedKind.AMPLITUDE_QUIET, "b")
         o1, o2 = beamsplitter(a, b, 1.0 - 1e-15)
         for out, src in ((o1, a), (o2, b)):
             assert out.x.variance(1.0) == pytest.approx(src.x.variance(1.0), abs=1e-12)
@@ -217,45 +195,48 @@ class TestBeamsplitter:
     @settings(max_examples=50, deadline=None)
     def test_total_variance_preserved(self, tau, phase, r):
         # orthogonal mixing preserves the summed quadrature variance
-        reg = SeedRegistry()
-        a = reg.squeezed_mode(SeedKind.PHASE_QUIET, label="a")
-        b = reg.squeezed_mode(SeedKind.AMPLITUDE_QUIET, label="b")
+        a = squeezed_mode(SeedKind.PHASE_QUIET, "a")
+        b = squeezed_mode(SeedKind.AMPLITUDE_QUIET, "b")
         o1, o2 = beamsplitter(a, b, tau, phase)
         before = sum(e.variance(r) for e in (a.x, a.y, b.x, b.y))
         after = sum(e.variance(r) for e in (o1.x, o1.y, o2.x, o2.y))
         assert after == pytest.approx(before, rel=1e-12)
 
     def test_transmittance_bounds(self):
-        reg = SeedRegistry()
-        a = reg.input_mode(0.0, 0.0, 1.0, 1.0, label="a")
-        b = reg.input_mode(0.0, 0.0, 1.0, 1.0, label="b")
+        a = input_mode("a", 0.0, 0.0, 1.0, 1.0)
+        b = input_mode("b", 0.0, 0.0, 1.0, 1.0)
         for tau in (0.0, 1.0, -0.2, 1.2):
             with pytest.raises(ValueError):
                 beamsplitter(a, b, tau)
 
-    def test_registry_mismatch(self):
-        _, m1 = fresh_pair()
-        _, m2 = fresh_pair()
-        with pytest.raises(ValueError):
-            beamsplitter(m1, m2, 0.5)
+    def test_mixes_separate_sources(self):
+        a = fresh_pair(SeedKind.PHASE_QUIET)
+        b = fresh_pair(SeedKind.AMPLITUDE_QUIET)
+        o1, o2 = beamsplitter(a, b, 0.5)
+        assert len(o1.x.terms) == len(o2.x.terms) == 2
+        for r in (0.0, 1.0):
+            assert o1.x.variance(r) == pytest.approx(
+                0.5 * (a.x.variance(r) + b.x.variance(r)), rel=1e-15)
+            assert o1.x.covariance(o2.x, r) == pytest.approx(
+                0.5 * (a.x.variance(r) - b.x.variance(r)), rel=1e-15, abs=1e-15)
 
 
 class TestRotation:
     def test_zero_angle_is_x(self):
-        reg, mode = fresh_pair()
+        mode = fresh_pair()
         expr = rotate_quadrature(mode, 0.0)
-        assert expr.coefficient(next(iter(mode.x.terms))[0], Axis.X) == pytest.approx(
+        assert expr.coefficient(next(iter(mode.x.terms)).id, Axis.X) == pytest.approx(
             1.0, abs=1e-15
         )
 
     def test_quarter_turn_is_y(self):
-        reg, mode = fresh_pair(label="m")
+        mode = fresh_pair(label="m")
         expr = rotate_quadrature(mode, math.pi / 2.0)
         assert expr.coefficient("m", Axis.Y) == pytest.approx(1.0, abs=1e-15)
         assert abs(expr.coefficient("m", Axis.X)) < 1e-15
 
     def test_interpolates_variances(self):
-        reg, mode = fresh_pair(SeedKind.AMPLITUDE_QUIET, label="m")
+        mode = fresh_pair(SeedKind.AMPLITUDE_QUIET, label="m")
         r, phi = 1.0, 0.7
         expr = rotate_quadrature(mode, phi)
         expected = math.cos(phi) ** 2 * math.exp(-2 * r) + math.sin(phi) ** 2 * math.exp(2 * r)

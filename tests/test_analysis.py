@@ -10,7 +10,6 @@ from cvcluster import (
     CurveDataset,
     GaussianMoments,
     SeedKind,
-    SeedRegistry,
     fig3_dataset,
     fig4_dataset,
     fig5_dataset,
@@ -22,6 +21,7 @@ from cvcluster import (
     optimal_detection_angle,
     rotated_output_variance,
     SqueezerParams,
+    squeezed_mode,
     wigner,
 )
 
@@ -50,9 +50,8 @@ class TestGaussianMoments:
             GaussianMoments((0.0, 0.0), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_mode_moments_cross_term(self):
-        reg = SeedRegistry()
-        mode = reg.squeezed_mode(SeedKind.AMPLITUDE_QUIET, label="m")
-        mixed = reg.squeezed_mode(SeedKind.PHASE_QUIET, label="n")
+        mode = squeezed_mode(SeedKind.AMPLITUDE_QUIET, "m")
+        mixed = squeezed_mode(SeedKind.PHASE_QUIET, "n")
         from cvcluster import ModePair
 
         combo = ModePair(x=mode.x + 0.5 * mixed.y, y=mixed.y)
