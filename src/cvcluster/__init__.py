@@ -4,13 +4,14 @@ linear optical cluster state.
 The package tracks every quadrature as an exact linear form in independent
 Gaussian seeds (:mod:`cvcluster.algebra`), builds the cluster and certifies
 its entanglement (:mod:`cvcluster.cluster`), applies the displacement,
-squeezing and controlled-X gates (:mod:`cvcluster.gates`), evaluates Wigner
-functions and the reference datasets (:mod:`cvcluster.analysis`), and
-certifies the closed forms by Monte-Carlo sampling (:mod:`cvcluster.oracle`).
+squeezing and controlled-X gates and evaluates each mode's moments
+(:mod:`cvcluster.gates`), evaluates Wigner functions and the reference
+datasets (:mod:`cvcluster.analysis`), and certifies the closed forms by
+Monte-Carlo sampling (:mod:`cvcluster.oracle`).
 
 Submodules load on first attribute access (PEP 562), so ``import
 cvcluster`` costs nothing until a name is used, and numpy loads only with
-the modules that need it (``analysis``, ``oracle`` and dataset encoding).
+the code that needs it (``analysis``, ``oracle`` and the datasets of ``io``).
 """
 
 import importlib
@@ -24,8 +25,8 @@ _EXPORTS = {
         "input_mode", "rotate_quadrature", "squeezed_mode", "squeezed_variance",
     ),
     "analysis": (
-        "CurveDataset", "GaussianMoments", "fig3_dataset", "fig4_dataset",
-        "fig5_dataset", "fig6_dataset", "fig8_dataset", "mode_moments", "wigner",
+        "fig3_dataset", "fig4_dataset", "fig5_dataset", "fig6_dataset", "fig8_dataset",
+        "wigner",
     ),
     "cluster": (
         "CLUSTER_NETWORK", "INSEPARABILITY_BOUND", "SLOT_MODES", "SOURCE_KINDS",
@@ -37,11 +38,12 @@ _EXPORTS = {
         "CRITERION_SIGMAS", "CxParams", "DisplacementParams", "GateResult", "ModeStats",
         "SqueezerParams", "controlled_x_gate", "cx_output_moments", "displacement_gate",
         "displacement_output_variance", "fidelity_from_variances", "identity_fidelity",
-        "min_distinguishable_displacement", "optimal_detection_angle",
+        "min_distinguishable_displacement", "mode_moments", "optimal_detection_angle",
         "optimal_displacement_variance", "optimal_gain", "rotated_output_variance",
         "squeezer_gate", "squeezing_threshold",
     ),
-    "io": ("dataset_to_csv", "dataset_to_json", "format_float", "write_dataset"),
+    "io": ("CurveDataset", "dataset_to_csv", "dataset_to_json", "format_float",
+           "write_dataset"),
     "oracle": (
         "CertifyResult", "SampleEstimate", "certify", "sample_expr", "sample_exprs",
     ),

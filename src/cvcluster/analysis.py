@@ -1,8 +1,9 @@
 """Gaussian state analysis and the reference curve/surface datasets.
 
-Wigner functions are evaluated on rectangular phase-space grids from the
-first and second moments of a mode. The ``fig*_dataset`` builders assemble
-the exact datasets behind the package's reference figures:
+Wigner functions are evaluated on rectangular phase-space grids from a
+mode's :class:`~cvcluster.gates.ModeStats` record. The ``fig*_dataset``
+builders assemble the exact datasets behind the package's reference figures,
+each a :class:`~cvcluster.io.CurveDataset`:
 
 * fig3: minimum distinguishable displacements over (r, r') for squeezed
   inputs with variance ``e^{-2r'}`` in the displaced quadrature;
@@ -19,56 +20,29 @@ All builders are deterministic functions of their arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .algebra import ModePair
 from .gates import (
     CxParams,
+    ModeStats,
     SqueezerParams,
     cx_output_moments,
     identity_fidelity,
     min_distinguishable_displacement,
     rotated_output_variance,
 )
-
-_SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GaussianMoments:
-    """Mean vector and 2x2 covariance of one mode's (x, y) quadratures."""
-
-    mean: tuple[float, float]
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.cov, dtype=float)
-        if arr.shape != (2, 2):
-            raise ValueError("covariance must be 2x2")
-        if abs(arr[0, 1] - arr[1, 0]) > _SYMMETRY_TOL:
-            raise ValueError("covariance must be symmetric")
-        if np.linalg.det(arr) <= 0:
-            raise ValueError("covariance must be positive definite")
-        object.__setattr__(self, "cov", arr)
-        object.__setattr__(self, "mean", (float(self.mean[0]), float(self.mean[1])))
+from .io import CurveDataset
 
 
-def mode_moments(mode: ModePair, r: float) -> GaussianMoments:
-    """Evaluate a mode's Gaussian moments at squeezing parameter r."""
-    cxy = mode.x.covariance(mode.y, r)
-    cov = np.array([[mode.x.variance(r), cxy], [cxy, mode.y.variance(r)]])
-    return GaussianMoments(mean=(mode.x.mean(), mode.y.mean()), cov=cov)
-
-
-def wigner(moments: GaussianMoments, x_grid: np.ndarray, y_grid: np.ndarray) -> np.ndarray:
+def wigner(moments: ModeStats, x_grid: np.ndarray, y_grid: np.ndarray) -> np.ndarray:
     """Wigner function on the outer product of two strictly increasing grids.
 
     Returns ``W[i, j] = W(x_grid[i], y_grid[j])`` with the normalization
     ``W = exp(-(v-mu)^T cov^{-1} (v-mu) / 2) / (2 pi sqrt(det cov))``, so a
     vacuum state peaks at ``1/(2 pi)`` and the grid integral is 1. Raises
+    ``ValueError`` unless the covariance is positive definite, and
     ``OverflowError`` when the quadratic form overflows on the grid, instead
     of returning zeros there.
     """
@@ -79,48 +53,19 @@ def wigner(moments: GaussianMoments, x_grid: np.ndarray, y_grid: np.ndarray) -> 
             raise ValueError(f"{name} must be a non-empty 1-d array")
         if g.size > 1 and not np.all(np.diff(g) > 0):
             raise ValueError(f"{name} must be strictly increasing")
-    cov = moments.cov
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if det <= 0:
-        raise ValueError("singular covariance")
-    inv00 = cov[1, 1] / det
-    inv11 = cov[0, 0] / det
-    inv01 = -cov[0, 1] / det
+    det = moments.var_x * moments.var_y - moments.cov_xy * moments.cov_xy
+    if not (moments.var_x > 0 and det > 0):
+        raise ValueError("covariance must be positive definite")
+    inv00 = moments.var_y / det
+    inv11 = moments.var_x / det
+    inv01 = -moments.cov_xy / det
     with np.errstate(over="ignore", invalid="ignore"):
-        dx = (x - moments.mean[0])[:, None]
-        dy = (y - moments.mean[1])[None, :]
+        dx = (x - moments.mean_x)[:, None]
+        dy = (y - moments.mean_y)[None, :]
         quad = inv00 * dx * dx + 2.0 * inv01 * dx * dy + inv11 * dy * dy
     if not np.all(np.isfinite(quad)):
         raise OverflowError("Wigner quadratic form is not finite")
     return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-
-
-@dataclass(frozen=True)
-class CurveDataset:
-    """A named, columnar dataset ready for serialization.
-
-    ``values`` has one row per sample and one column per name in
-    ``columns``; all entries must be finite.
-    """
-
-    tag: str
-    columns: tuple[str, ...]
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != len(self.columns):
-            raise ValueError("values shape does not match columns")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("dataset contains non-finite entries")
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "columns", tuple(self.columns))
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.columns:
-            raise KeyError(f"unknown column {name!r}")
-        return self.values[:, self.columns.index(name)]
 
 
 def _as_grid(name: str, grid: Iterable[float]) -> np.ndarray:
@@ -225,24 +170,18 @@ def _centered_grid(mean: float, var: float, points: int, span: float) -> np.ndar
 
 
 def _wigner_panel(
-    name: str,
-    mean: tuple[float, float],
-    var: tuple[float, float],
-    points: int,
-    span: float,
-    extra_meta: dict,
+    name: str, moments: ModeStats, points: int, span: float, extra_meta: dict
 ) -> CurveDataset:
-    moments = GaussianMoments(mean, np.diag(var))
-    x = _centered_grid(moments.mean[0], moments.cov[0, 0], points, span)
-    y = _centered_grid(moments.mean[1], moments.cov[1, 1], points, span)
+    x = _centered_grid(moments.mean_x, moments.var_x, points, span)
+    y = _centered_grid(moments.mean_y, moments.var_y, points, span)
     w = wigner(moments, x, y)
     values = np.column_stack(
         (np.repeat(x, y.size), np.tile(y, x.size), w.ravel())
     )
     meta = {
         "panel": name,
-        "mean": [moments.mean[0], moments.mean[1]],
-        "var": [float(moments.cov[0, 0]), float(moments.cov[1, 1])],
+        "mean": [float(moments.mean_x), float(moments.mean_y)],
+        "var": [moments.var_x, moments.var_y],
         "grid_points": points,
         "span_sigmas": span,
     }
@@ -283,15 +222,13 @@ def fig8_dataset(
     common = {"caption_reading": caption_reading, "s_c": s_c, "s_t": s_t}
     panels: dict[str, CurveDataset] = {}
     for name, mean in (("input_control", s_c), ("input_target", s_t)):
-        panels[name] = _wigner_panel(name, (mean, 0.0), (vx, vy), grid_points, span,
-                                     dict(common))
+        panels[name] = _wigner_panel(name, ModeStats(mean, 0.0, vx, vy, 0.0), grid_points,
+                                     span, dict(common))
     params = CxParams(s_c=s_c, s_t=s_t, var_cx=vx, var_cy=vy, var_tx=vx, var_ty=vy)
     for r in rs:
         moments = cx_output_moments(params, r)
         for mode in ("control", "target"):
-            stats = moments[mode]
             name = f"output_{mode}_r{_label(r)}"
-            panels[name] = _wigner_panel(name, (stats.mean_x, stats.mean_y),
-                                         (stats.var_x, stats.var_y), grid_points, span,
+            panels[name] = _wigner_panel(name, moments[mode], grid_points, span,
                                          dict(common, r=r))
     return panels

@@ -27,9 +27,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .algebra import QuadExpr, rotate_quadrature
 from .cluster import (
@@ -43,7 +43,6 @@ from .gates import (
     CxParams,
     DisplacementParams,
     GateResult,
-    ModeStats,
     SqueezerParams,
     controlled_x_gate,
     displacement_gate,
@@ -54,10 +53,7 @@ from .gates import (
     squeezer_gate,
     squeezing_threshold,
 )
-from .io import format_float, write_dataset
-
-if TYPE_CHECKING:
-    from .analysis import CurveDataset
+from .io import CurveDataset, format_float, write_dataset
 
 EXIT_OK = 0
 EXIT_UNMET = 1
@@ -308,14 +304,13 @@ def _emit_report(command: str, cfg: dict, results: dict) -> dict:
 
 
 #: Certified per output mode, in this order; the quadrature is the suffix.
-_STATS = tuple(field.name for field in fields(ModeStats))
+_STATS = ("mean_x", "mean_y", "var_x", "var_y")
 
 
 def _run_gate(
     command: str,
     cfg: dict,
     result: GateResult,
-    before: dict | None = None,
     after: dict | None = None,
     row: tuple[tuple[str, ...], tuple[str, ...]] = ((), ()),
     extra: tuple[tuple[str, QuadExpr, float], ...] = (),
@@ -323,8 +318,8 @@ def _run_gate(
 ) -> int:
     """Certify, report and write one gate run.
 
-    The report lists ``before``, every output mode's :data:`_STATS` (keys
-    prefixed by the mode name when the gate has several) and ``after``.
+    The report lists the gate's ``meta``, every output mode's :data:`_STATS`
+    (keys prefixed by the mode name when the gate has several) and ``after``.
     ``--certify`` checks those statistics, mode by mode, then the
     ``extra`` (name, expression, analytic variance) checks of the first
     mode, all estimated from one shared draw of the gate's seeds with the
@@ -346,7 +341,7 @@ def _run_gate(
             checks.append((f"{name}.{stat}", statistic, getattr(mode, axis), stats[key]))
     first = next(iter(result.modes))
     checks.extend((f"{first}.{stat}", "variance", expr, value) for stat, expr, value in extra)
-    results = {**(before or {}), **stats, **(after or {})}
+    results = {**result.meta, **stats, **(after or {})}
     for key, value in results.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"inputs out of range: {key} is not finite")
@@ -369,14 +364,10 @@ def _run_gate(
     resolved = _emit_report(command, cfg, results)
     if cfg["out"]:
         if dataset is None:
-            import numpy as np
-
-            from .analysis import CurveDataset
-
             columns = (*row[0], *stats, *row[1])
             values = {**cfg, **results}
             dataset = CurveDataset(tag=command, columns=columns,
-                                   values=np.array([[values[c] for c in columns]]), meta={})
+                                   values=[[values[c] for c in columns]])
         try:
             write_dataset(dataset, cfg["out"], cfg["format"], resolved)
         except OSError as exc:
@@ -427,7 +418,6 @@ def cmd_displace(cfg: dict) -> int:
     )
     return _run_gate(
         "displace", cfg, result,
-        before={"g2": result.meta["g2"], "g3": result.meta["g3"]},
         after={"fidelity": identity_fidelity(r), "s0_min": s0_min, "s1_min": s1_min},
         row=(("r", "s0", "s1", "g2", "g3"), ("fidelity", "s0_min", "s1_min")),
     )
@@ -445,9 +435,6 @@ def cmd_squeeze(cfg: dict) -> int:
     r = cfg["r"]
     params = SqueezerParams(theta=cfg["theta"], var_x=cfg["vx"], var_y=cfg["vy"])
     result = squeezer_gate(params, r)
-    before = {"theta": cfg["theta"]}
-    for key in ("tan_theta", "rescale", "squeeze_parameter", "cross_coefficient"):
-        before[key] = result.meta[key]
     after: dict = {}
     extra = ()
     try:
@@ -466,19 +453,16 @@ def cmd_squeeze(cfg: dict) -> int:
         after["v_at_phi"] = rotated_output_variance(params, r, cfg["phi"])
     scan = None
     if cfg["scan_phi"]:
-        import numpy as np
-
-        from .analysis import CurveDataset
-
-        phis = np.linspace(0.0, math.pi, cfg["grid"])
-        vs = np.array([rotated_output_variance(params, r, p) for p in phis])
-        best = int(np.argmin(vs))
-        after["scan_min_v"] = float(vs[best])
-        after["scan_min_phi"] = float(phis[best])
-        after["scan_max_v"] = float(vs.max())
+        step = math.pi / (cfg["grid"] - 1)
+        phis = [i * step for i in range(cfg["grid"] - 1)] + [math.pi]
+        vs = [rotated_output_variance(params, r, phi) for phi in phis]
+        best = min(range(len(vs)), key=vs.__getitem__)
+        after["scan_min_v"] = vs[best]
+        after["scan_min_phi"] = phis[best]
+        after["scan_max_v"] = max(vs)
         scan = CurveDataset(tag="squeeze_scan", columns=("phi", "v"),
-                            values=np.column_stack((phis, vs)), meta={})
-    return _run_gate("squeeze", cfg, result, before, after,
+                            values=list(zip(phis, vs)))
+    return _run_gate("squeeze", cfg, result, after,
                      row=(("r", "theta", "tan_theta"), ()), extra=extra, dataset=scan)
 
 

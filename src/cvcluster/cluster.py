@@ -95,15 +95,10 @@ NULLIFIER_TERMS = (
 
 def nullifiers(cluster: ClusterState) -> tuple[QuadExpr, ...]:
     """The four joint quadratures that certify the cluster correlations."""
-    out = []
-    for combo in NULLIFIER_TERMS:
-        expr = None
-        for name, axis, sign in combo:
-            quad = cluster.mode(name).x if axis is Axis.X else cluster.mode(name).y
-            term = sign * quad
-            expr = term if expr is None else expr + term
-        out.append(expr)
-    return tuple(out)
+    return tuple(
+        sum(sign * getattr(cluster.mode(name), axis.value) for name, axis, sign in combo)
+        for combo in NULLIFIER_TERMS
+    )
 
 
 def nullifier_variances(cluster: ClusterState, r: float) -> tuple[float, ...]:

@@ -7,7 +7,9 @@ measured quadrature is itself a linear form in the seeds, feedforward is
 plain expression arithmetic and the output statistics stay closed-form.
 
 Gates are pure functions of their parameters and the squeezing parameter r.
-Each call builds a fresh cluster, so results never share state.
+Each call builds a fresh cluster, so results never share state. Every output
+mode's Gaussian moments, means and 2x2 covariance, are one :class:`ModeStats`
+record, evaluated from the expressions by :func:`mode_moments`.
 """
 
 from __future__ import annotations
@@ -48,12 +50,19 @@ def _check_finite(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class ModeStats:
-    """Evaluated Gaussian moments of one output mode."""
+    """Gaussian moments of one mode: the (x, y) means and the 2x2 covariance."""
 
     mean_x: float
     mean_y: float
     var_x: float
     var_y: float
+    cov_xy: float
+
+
+def mode_moments(mode: ModePair, r: float) -> ModeStats:
+    """Evaluate a mode's Gaussian moments at squeezing parameter r."""
+    return ModeStats(mode.x.mean(), mode.y.mean(), mode.x.variance(r), mode.y.variance(r),
+                     mode.x.covariance(mode.y, r))
 
 
 @dataclass(frozen=True)
@@ -62,8 +71,8 @@ class GateResult:
 
     ``modes`` maps an output name (``out``, or ``target``/``control``) to
     its quadrature pair; ``stats`` holds the matching moments, evaluated
-    directly from the expressions; ``meta`` records the gains and angles
-    actually used.
+    directly from the expressions; ``meta`` records the gains and angles the
+    gate resolved from its parameters.
     """
 
     modes: Mapping[str, ModePair]
@@ -87,8 +96,7 @@ def _couple(r: float, *inputs: tuple) -> tuple[ClusterState, list]:
 
 def _result(r: float, modes: dict[str, ModePair], meta: dict[str, float]) -> GateResult:
     """The output modes with their moments evaluated at r."""
-    stats = {name: ModeStats(mode.x.mean(), mode.y.mean(), mode.x.variance(r),
-                             mode.y.variance(r)) for name, mode in modes.items()}
+    stats = {name: mode_moments(mode, r) for name, mode in modes.items()}
     return GateResult(modes=modes, stats=stats, meta=meta)
 
 
@@ -187,10 +195,7 @@ def displacement_gate(params: DisplacementParams, r: float) -> GateResult:
     )
     x_out = cluster.b4.x + G0 * (c1.x + params.s0) + g2 * cluster.b2.x
     y_out = cluster.b4.y + G1 * (c2.y - params.s1) + g3 * cluster.b3.y
-    return _result(
-        r, {"out": ModePair(x=x_out, y=y_out)},
-        {"r": r, "g0": G0, "g1": G1, "g2": g2, "g3": g3, "s0": params.s0, "s1": params.s1},
-    )
+    return _result(r, {"out": ModePair(x=x_out, y=y_out)}, {"g2": g2, "g3": g3})
 
 
 def min_distinguishable_displacement(
@@ -282,7 +287,8 @@ def squeezer_gate(params: SqueezerParams, r: float) -> GateResult:
     with gains -sqrt(2)*tan(theta) onto the amplitude and -sqrt(2) onto the
     phase; b2 and b3 are added at unit gain. The output amplitude keeps a
     ``+2 tan(theta)`` cross-coupling from the input phase (recorded in
-    ``meta["cross_coefficient"]``).
+    ``meta["cross_coefficient"]``), which shears the output:
+    ``stats["out"].cov_xy`` is ``2 tan(theta) var_y``.
     """
     tan_t = params.tan_theta
     cluster, [(c1, c2)] = _couple(
@@ -297,7 +303,7 @@ def squeezer_gate(params: SqueezerParams, r: float) -> GateResult:
     )
     y_out = cluster.b4.y - G0 * c2.y + cluster.b3.y
     return _result(r, {"out": ModePair(x=x_out, y=y_out)}, {
-        "r": r, "theta": params.theta, "tan_theta": tan_t, "rescale": math.cos(params.theta),
+        "theta": params.theta, "tan_theta": tan_t, "rescale": math.cos(params.theta),
         "squeeze_parameter": -tan_t, "cross_coefficient": x_out.coefficient("in", "y"),
     })
 
@@ -411,8 +417,7 @@ def controlled_x_gate(params: CxParams, r: float) -> GateResult:
         x=cluster.b4.x - CX_GAIN * c1.x,
         y=cluster.b4.y - CX_GAIN * t2.y + CX_GAIN * c2.y,
     )
-    return _result(r, {"target": target, "control": control},
-                   {"r": r, "gain": CX_GAIN, "s_c": params.s_c, "s_t": params.s_t})
+    return _result(r, {"target": target, "control": control}, {})
 
 
 def cx_output_moments(params: CxParams, r: float) -> dict[str, ModeStats]:
@@ -425,11 +430,13 @@ def cx_output_moments(params: CxParams, r: float) -> dict[str, ModeStats]:
             mean_y=0.0,
             var_x=3.0 * down + params.var_cx + params.var_tx,
             var_y=2.0 * down + params.var_ty,
+            cov_xy=0.0,
         ),
         "control": ModeStats(
             mean_x=params.s_c,
             mean_y=0.0,
             var_x=2.0 * down + params.var_cx,
             var_y=3.0 * down + params.var_cy + params.var_ty,
+            cov_xy=0.0,
         ),
     }

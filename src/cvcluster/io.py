@@ -1,30 +1,63 @@
-"""Dataset serialization: CSV with a JSON config header, or plain JSON.
+"""Datasets and their serialization: CSV with a JSON config header, or plain JSON.
 
-CSV files start with a single ``#``-prefixed line holding the fully
-resolved configuration as JSON, then a header row and one data row per
-sample. Floats are written with 17 significant digits so files round-trip
-exactly and repeated runs are byte-identical.
+A :class:`CurveDataset` is a named table of finite floats. CSV files start
+with a single ``#``-prefixed line holding the fully resolved configuration
+as JSON, then a header row and one data row per sample. Floats are written
+with 17 significant digits so files round-trip exactly and repeated runs
+are byte-identical.
 
 CSV rows are encoded in bulk: each distinct float (by bit pattern, so
 ``-0.0`` and ``0.0`` stay apart) is formatted once, and rows are joined
 and written ``_CHUNK_ROWS`` at a time, so a large dataset never exists as
 one string on its way to disk.
 
-numpy is imported by the CSV encoder itself, so :func:`format_float`
-costs no numpy import.
+numpy is imported by the dataset constructor and the CSV encoder
+themselves, so importing this module and :func:`format_float` cost no numpy
+import.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
-    from .analysis import CurveDataset
+    import numpy as np
 
 _CHUNK_ROWS = 4096
+
+
+@dataclass(frozen=True)
+class CurveDataset:
+    """A named, columnar dataset ready for serialization.
+
+    ``values`` has one row per sample and one column per name in
+    ``columns``; all entries must be finite.
+    """
+
+    tag: str
+    columns: tuple[str, ...]
+    values: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        import numpy as np
+
+        arr = np.asarray(self.values, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != len(self.columns):
+            raise ValueError("values shape does not match columns")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("dataset contains non-finite entries")
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "columns", tuple(self.columns))
+
+    def column(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise KeyError(f"unknown column {name!r}")
+        return self.values[:, self.columns.index(name)]
 
 
 def format_float(value: float) -> str:

@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+import cvcluster
 from cvcluster import (
     CurveDataset,
-    GaussianMoments,
+    ModePair,
+    ModeStats,
     SeedKind,
     fig3_dataset,
     fig4_dataset,
@@ -29,7 +31,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def vacuum_moments():
-    return GaussianMoments((0.0, 0.0), np.eye(2))
+    return ModeStats(0.0, 0.0, 1.0, 1.0, 0.0)
 
 
 def grid_integral(dataset: CurveDataset) -> float:
@@ -41,24 +43,25 @@ def grid_integral(dataset: CurveDataset) -> float:
 
 
 class TestGaussianMoments:
-    def test_asymmetric_covariance_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianMoments((0.0, 0.0), np.array([[1.0, 0.5], [0.0, 1.0]]))
-
     def test_nonpositive_determinant_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianMoments((0.0, 0.0), np.array([[1.0, 1.0], [1.0, 1.0]]))
+        g = np.linspace(-2.0, 2.0, 5)
+        with pytest.raises(ValueError, match="positive definite"):
+            wigner(ModeStats(0.0, 0.0, 1.0, 1.0, 1.0), g, g)
+
+    def test_negative_definite_rejected(self):
+        # -I has a positive determinant; it used to give W = 8.69 at a corner
+        g = np.linspace(-2.0, 2.0, 5)
+        with pytest.raises(ValueError, match="positive definite"):
+            wigner(ModeStats(0.0, 0.0, -1.0, -1.0, 0.0), g, g)
 
     def test_mode_moments_cross_term(self):
         mode = squeezed_mode(SeedKind.AMPLITUDE_QUIET, "m")
         mixed = squeezed_mode(SeedKind.PHASE_QUIET, "n")
-        from cvcluster import ModePair
-
         combo = ModePair(x=mode.x + 0.5 * mixed.y, y=mixed.y)
         moments = mode_moments(combo, 1.0)
         want = 0.5 * mixed.y.variance(1.0)
-        assert moments.cov[0, 1] == pytest.approx(want, rel=1e-12)
-        assert moments.cov[0, 1] == moments.cov[1, 0]
+        assert moments.cov_xy == pytest.approx(want, rel=1e-12)
+        assert moments.var_x == pytest.approx(combo.x.variance(1.0), rel=1e-12)
 
 
 class TestWigner:
@@ -76,10 +79,10 @@ class TestWigner:
 
     def test_unit_determinant_keeps_peak(self):
         # pure squeezed state: det stays 1, so the peak height is the vacuum's
-        cov = np.diag([math.exp(-2.0), math.exp(2.0)])
+        moments = ModeStats(0.0, 0.0, math.exp(-2.0), math.exp(2.0), 0.0)
         x = np.linspace(-1.0, 1.0, 101)
         y = np.linspace(-10.0, 10.0, 101)
-        w = wigner(GaussianMoments((0.0, 0.0), cov), x, y)
+        w = wigner(moments, x, y)
         assert w[50, 50] == pytest.approx(1.0 / TWO_PI, rel=1e-12)
 
     def test_translation_invariance(self):
@@ -87,7 +90,7 @@ class TestWigner:
         base = np.linspace(-4.0, 4.0, 81)
         w0 = wigner(vacuum_moments(), base, base)
         w1 = wigner(
-            GaussianMoments(shift, np.eye(2)), base + shift[0], base + shift[1]
+            ModeStats(*shift, 1.0, 1.0, 0.0), base + shift[0], base + shift[1]
         )
         assert np.max(np.abs(w0 - w1)) < 1e-12
 
@@ -254,6 +257,9 @@ class TestFig8:
 
 
 class TestCurveDataset:
+    def test_analysis_reexports_the_io_class(self):
+        assert cvcluster.analysis.CurveDataset is cvcluster.io.CurveDataset
+
     def test_unknown_column(self):
         ds = fig4_dataset(np.linspace(0.0, 1.0, 5))
         with pytest.raises(KeyError):

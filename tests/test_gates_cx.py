@@ -87,6 +87,15 @@ class TestMoments:
                         getattr(want, field), abs=1e-9
                     ), (name, field)
 
+    @pytest.mark.parametrize("r", [0.0, 1.0, 50.0])
+    def test_outputs_uncorrelated(self, r):
+        params = CxParams(s_c=0.7, s_t=-0.2, var_cx=1.4, var_cy=0.5, var_tx=2.0, var_ty=0.9)
+        result = controlled_x_gate(params, r)
+        closed = cx_output_moments(params, r)
+        for name in ("target", "control"):
+            assert result.stats[name].cov_xy == 0.0, name
+            assert closed[name].cov_xy == 0.0, name
+
     def test_excess_noise_scaling(self):
         # coherent inputs: target picks up 3e^{-2r} in x and 2e^{-2r} in y
         params = CxParams(s_c=0.0, s_t=0.0)

@@ -31,6 +31,7 @@ class TestSignalTransfer:
         stats = displacement_gate(params, r).stats["out"]
         assert stats.mean_x == pytest.approx(0.4 + SQRT2 * 0.3, abs=1e-12)
         assert stats.mean_y == pytest.approx(0.25 + SQRT2 * (-1.1), abs=1e-12)
+        assert stats.cov_xy == 0.0  # the two quadratures share no seed
 
     def test_unit_input_coefficients(self):
         result = displacement_gate(DisplacementParams(s0=0.0, s1=0.0), 1.0)

@@ -67,6 +67,8 @@ class TestOutputStructure:
         assert result.meta["rescale"] == pytest.approx(
             math.cos(math.atan(tan_theta)), abs=1e-12
         )
+        # the cross-coupling shears the output: cov(x, y) = 2 tan(theta) var_y
+        assert result.stats["out"].cov_xy == pytest.approx(2.0 * tan_theta, abs=1e-12)
 
     def test_phase_side_untouched_by_angle(self):
         for t in (0.0, 1.0, 4.0):
@@ -88,6 +90,19 @@ class TestRotatedVariance:
             out = squeezer_gate(params, r).modes["out"]
             expr = rotate_quadrature(out, phi)
             assert closed == pytest.approx(expr.variance(r), rel=1e-10)
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.5, 10.0, 50.0])
+    @pytest.mark.parametrize("tan_theta", [-3.0, -0.5, 0.25, 2.0])
+    @pytest.mark.parametrize("vx, vy", [(1.0, 1.0), (2.0, 0.5)])
+    def test_matches_output_covariance(self, r, tan_theta, vx, vy):
+        # the record's 2x2 covariance, rotated by phi, is the closed form
+        params = SqueezerParams.from_tan(tan_theta, var_x=vx, var_y=vy)
+        stats = squeezer_gate(params, r).stats["out"]
+        for phi in np.linspace(0.0, math.pi, 64):
+            c, s = math.cos(phi), math.sin(phi)
+            got = c * c * stats.var_x + s * s * stats.var_y + 2.0 * s * c * stats.cov_xy
+            want = rotated_output_variance(params, r, phi)
+            assert got == pytest.approx(want, rel=1e-12), phi
 
     def test_flat_when_angle_zero(self):
         params = SqueezerParams(theta=0.0)

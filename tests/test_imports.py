@@ -42,6 +42,20 @@ def test_report_commands_do_not_load_numpy():
     assert json.loads(proc.stdout) == {"codes": [0, 0], "numpy": False}
 
 
+def test_mode_moments_do_not_load_numpy():
+    script = (
+        "import json, sys\n"
+        "import cvcluster as cv\n"
+        "gate = cv.controlled_x_gate(cv.CxParams(s_c=1.0, s_t=2.0), 1.0)\n"
+        "stats = cv.mode_moments(gate.modes['target'], 1.0)\n"
+        "print(json.dumps({'same': stats == gate.stats['target'],\n"
+        "                  'numpy': 'numpy' in sys.modules}))\n"
+    )
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"same": True, "numpy": False}
+
+
 def test_out_file_in_fresh_process_matches_golden(tmp_path):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]["cx-out-csv"]
     proc = python("-m", "cvcluster", *want["argv"], cwd=tmp_path)
