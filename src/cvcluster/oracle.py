@@ -5,13 +5,16 @@ Gaussian law and evaluates each expression sample by sample, giving
 estimates with standard errors; :func:`certify` compares an analytic moment
 with such an estimate.
 
-Sampling is split into :data:`STREAMS` counter-keyed substreams and blocks
-of :data:`BLOCK` samples, and each block draws the seeds in ``(id, axis)``
-order, so estimates depend only on the integer seed, those two constants and
-the seeds' names, never on how the work is scheduled. The substreams run
-on one worker thread per CPU the process may use (numpy releases the
-interpreter lock while it draws and sums), and the estimates are bit for
-bit the same on any number of CPUs.
+Sampling is split into :data:`STREAMS` counter-keyed SFC64 substreams and
+blocks of :data:`BLOCK` samples, and each block draws one standard normal
+per seed in ``(id, axis)`` order. Each seed's law (its mean and standard
+deviation at r) is folded into the coefficients and constants once per
+call, so a block costs one pass per draw and one per term. Estimates depend
+only on the integer seed, those two constants, the seeds' names and the bit
+generator, never on how the work is scheduled. The substreams run on one
+worker thread per CPU the process may use (numpy releases the interpreter
+lock while it draws and sums), and the estimates are bit for bit the same
+on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng  # loaded here, not in a worker
+from numpy.random import SFC64, Generator, SeedSequence  # loaded here, not in a worker
 
 from .algebra import QuadExpr, SeedVar, _check_r
 
@@ -74,15 +77,20 @@ def sample_exprs(
 
     Every seed of the expressions is drawn once per sample and shared by all
     of them. The sample is split into :data:`STREAMS` substreams; substream
-    i draws from ``default_rng(SeedSequence([seed, i]))`` in blocks of
-    :data:`BLOCK` samples, each seed in ``(id, axis)`` order, so two seeds
-    of one call must not share a name and axis. Each expression is summed
-    elementwise term by term, and the block means and M2 are merged in block
-    order (Chan, Golub and LeVeque, 1979). An estimate therefore depends
-    only on ``seed``, :data:`STREAMS`, :data:`BLOCK` and the names of the
-    seeds in the call, never on scheduling, the BLAS build, or the order or
-    repetition of ``exprs``. The variance standard error uses the
-    normal-theory formula ``var * sqrt(2/(n-1))``.
+    i draws standard normals z from ``Generator(SFC64(SeedSequence([seed,
+    i])))`` in blocks of :data:`BLOCK` samples, one per seed in ``(id,
+    axis)`` order, so two seeds of one call must not share a name and axis.
+    A seed with mean mu and standard deviation sd at r enters each
+    expression as ``(coeff * sd) * z``, with ``coeff * mu`` added to the
+    expression's constant; both are computed from ``seed.mean``,
+    ``seed.variance_at(r)`` and ``expr.terms`` once per call. Each
+    expression is summed elementwise term by term, and the block means and
+    M2 are merged in block order (Chan, Golub and LeVeque, 1979). An
+    estimate therefore depends only on ``seed``, :data:`STREAMS`,
+    :data:`BLOCK`, the names of the seeds in the call and the bit generator,
+    never on scheduling, the BLAS build, or the order or repetition of
+    ``exprs``. The variance standard error uses the normal-theory formula
+    ``var * sqrt(2/(n-1))``.
 
     The substreams are shared out over min(substreams, CPUs the process may
     use) workers; the calling thread is one of them, so on one CPU no thread
@@ -101,11 +109,19 @@ def sample_exprs(
     for a, b in zip(seeds, seeds[1:]):
         if _seed_order(a) == _seed_order(b):
             raise ValueError(f"two seeds named {a.id!r}/{a.axis.value} in one draw")
-    laws = [(s.mean, math.sqrt(s.variance_at(r))) for s in seeds]
-    # per seed, the (expression, coefficient) pairs it feeds
-    uses = [[(k, expr.terms[s]) for k, expr in enumerate(exprs) if s in expr.terms]
-            for s in seeds]
+    # Each seed is mean + sd·z with z standard normal: fold sd into the
+    # coefficients and the means into the constants, in draw order.
     constants = [expr.constant for expr in exprs]
+    uses = []  # per seed, the (expression, coefficient × sd) pairs it feeds
+    for s in seeds:
+        sd = math.sqrt(s.variance_at(r))
+        terms = []
+        for k, expr in enumerate(exprs):
+            if s in expr.terms:
+                coeff = expr.terms[s]
+                constants[k] += coeff * s.mean
+                terms.append((k, coeff * sd))
+        uses.append(terms)
 
     streams = []  # (substream, size, row of its first block)
     sizes = []  # block sizes in block order
@@ -117,16 +133,14 @@ def sample_exprs(
     def draw_streams(part: list[tuple[int, int, int]], buffers: np.ndarray) -> None:
         draw, work, values = buffers[0], buffers[1], buffers[2:]
         for i, size, first in part:
-            gen = default_rng(SeedSequence([seed, i]))
+            gen = Generator(SFC64(SeedSequence([seed, i])))
             for g, start in enumerate(range(0, size, BLOCK), first):
                 m = min(BLOCK, size - start)
                 row, tmp, blocks = draw[:m], work[:m], values[:, :m]
                 for block, constant in zip(blocks, constants):
                     block.fill(constant)
-                for (seed_mean, seed_sd), terms in zip(laws, uses):
+                for terms in uses:
                     gen.standard_normal(out=row)
-                    row *= seed_sd
-                    row += seed_mean
                     for k, coeff in terms:
                         np.multiply(row, coeff, out=tmp)
                         blocks[k] += tmp

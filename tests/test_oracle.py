@@ -25,6 +25,7 @@ from cvcluster import (
     displacement_gate,
     input_mode,
     nullifier_variances,
+    QuadExpr,
     sample_expr,
     sample_exprs,
     SLOT_MODES,
@@ -103,9 +104,8 @@ class TestSampling:
         base, extra = divmod(30_000, 7)
         for i in range(7):
             size = base + (1 if i < extra else 0)
-            gen = np.random.default_rng(np.random.SeedSequence([9, i]))
             sd = math.sqrt(math.exp(-2.0))
-            chunks.append(gen.normal(0.0, sd, size))
+            chunks.append(sd * substream(9, i).standard_normal(size))
         ref = np.concatenate(chunks)
         assert est.mean == pytest.approx(float(ref.mean()), abs=1e-12)
         assert est.variance == pytest.approx(float(ref.var(ddof=1)), rel=1e-12)
@@ -123,24 +123,40 @@ def seed_order(seed):
     return seed.id, seed.axis.value
 
 
+def substream(seed, i):
+    """The generator of substream i."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, i])))
+
+
+def folded_law(expr, r):
+    """The constant plus each seed's coefficient times mean, and per seed in
+    (id, axis) order its coefficient times standard deviation."""
+    constant, terms = expr.constant, []
+    for var in sorted(expr.terms, key=seed_order):
+        coeff = expr.terms[var]
+        constant += coeff * var.mean
+        terms.append((var, coeff * math.sqrt(var.variance_at(r))))
+    return constant, terms
+
+
 def blocked_reference(expr, r, n, seed):
     """The samples ``sample_exprs`` should draw, in one flat array.
 
-    Each substream draws every seed, in (id, axis) order, block by block.
+    Each substream draws one standard normal per seed, in (id, axis) order,
+    block by block.
     """
-    seeds = sorted(expr.terms, key=seed_order)
+    constant, terms = folded_law(expr, r)
     streams = min(oracle.STREAMS, n)
     base, extra = divmod(n, streams)
     parts = []
     for i in range(streams):
         size = base + (1 if i < extra else 0)
-        gen = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        gen = substream(seed, i)
         for start in range(0, size, BLOCK):
             m = min(BLOCK, size - start)
-            values = np.full(m, expr.constant)
-            for var in seeds:
-                values += expr.terms[var] * gen.normal(
-                    var.mean, math.sqrt(var.variance_at(r)), m)
+            values = np.full(m, constant)
+            for _, coeff in terms:
+                values += coeff * gen.standard_normal(m)
             parts.append(values)
     return np.concatenate(parts)
 
@@ -248,7 +264,10 @@ unit = 1024 if sys.platform == "darwin" else 1  # ru_maxrss is in bytes there, e
 def peak_kb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // unit
 
-oracle.sample_exprs(quads, 1.0, 200_000, 17)
+# The first call's buffers are mapped and unmapped, which raises glibc's
+# mmap threshold, so the second call's come from the heap and stay there.
+for _ in range(2):
+    oracle.sample_exprs(quads, 1.0, 200_000, 17)
 before = peak_kb()
 oracle.sample_exprs(quads, 1.0, 2_000_000, 17)
 print(peak_kb() - before)
@@ -262,11 +281,11 @@ def reference_sample_exprs(exprs, r, n, seed, streams):
     as soon as the block is summed.
     """
     seeds = sorted({var for expr in exprs for var in expr.terms}, key=seed_order)
-    laws = [(var.mean, math.sqrt(var.variance_at(r))) for var in seeds]
     row = {var: j for j, var in enumerate(seeds)}
-    plans = [(expr.constant,
-              [(row[var], expr.terms[var]) for var in sorted(expr.terms, key=seed_order)])
-             for expr in exprs]
+    plans = []
+    for expr in exprs:
+        constant, terms = folded_law(expr, r)
+        plans.append((constant, [(row[var], coeff) for var, coeff in terms]))
     draws = np.empty((len(seeds), BLOCK))
     values = np.empty(BLOCK)
     work = np.empty(BLOCK)
@@ -276,13 +295,11 @@ def reference_sample_exprs(exprs, r, n, seed, streams):
     base, extra = divmod(n, streams)
     for i in range(streams):
         size = base + (1 if i < extra else 0)
-        gen = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        gen = substream(seed, i)
         for start in range(0, size, BLOCK):
             m = min(BLOCK, size - start)
-            for draw, (seed_mean, seed_sd) in zip(draws, laws):
+            for draw in draws:
                 gen.standard_normal(out=draw[:m])
-                draw[:m] *= seed_sd
-                draw[:m] += seed_mean
             block, tmp = values[:m], work[:m]
             merged = total_n + m
             for k, (constant, terms) in enumerate(plans):
@@ -352,7 +369,8 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_failure_reaches_caller(self, monkeypatch, workers):
-        real = oracle.default_rng
+        real_bits, real_generator = oracle.SFC64, oracle.Generator
+        broken_bits = object()
 
         class Broken:
             def standard_normal(self, out):
@@ -360,8 +378,10 @@ class TestWorkers:
 
         monkeypatch.setattr(oracle, "_cpus", lambda: workers)
         monkeypatch.setattr(oracle, "STREAMS", 5)
-        monkeypatch.setattr(oracle, "default_rng",
-                            lambda seq: Broken() if seq.entropy[1] == 1 else real(seq))
+        monkeypatch.setattr(oracle, "SFC64",
+                            lambda seq: broken_bits if seq.entropy[1] == 1 else real_bits(seq))
+        monkeypatch.setattr(oracle, "Generator",
+                            lambda bits: Broken() if bits is broken_bits else real_generator(bits))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="substream 1 failed"):
             sample_exprs(mixed_exprs(), 0.7, 50_000, 7)
@@ -374,6 +394,17 @@ class TestWorkers:
         monkeypatch.setattr(oracle, "_cpus", lambda: 1)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         got = sample_exprs(mixed_exprs(), 0.7, 1000, 7)
+        assert bits(got) == bits(reference_for(oracle.STREAMS, 1000))
+
+    def test_shares_nothing_with_the_analytic_path(self, monkeypatch):
+        exprs = mixed_exprs()  # building the gate evaluates its moments
+
+        def refuse(self, *args):
+            raise AssertionError("the oracle read an analytic moment")
+
+        for name in ("mean", "variance", "covariance"):
+            monkeypatch.setattr(QuadExpr, name, refuse)
+        got = sample_exprs(exprs, 0.7, 1000, 7)
         assert bits(got) == bits(reference_for(oracle.STREAMS, 1000))
 
     def test_cpus_counts_usable_cpus(self):
