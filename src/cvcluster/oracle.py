@@ -9,7 +9,7 @@ Sampling is split into :data:`STREAMS` counter-keyed SFC64 substreams and
 blocks of :data:`BLOCK` samples, and each block draws one standard normal
 per seed in ``(id, axis)`` order. Each seed's law (its mean and standard
 deviation at r) is folded into the coefficients and constants once per
-call, so a block costs one pass per draw and one per term. Estimates depend
+call, so the draws need no per-seed affine pass. Estimates depend
 only on the integer seed, those two constants, the seeds' names and the bit
 generator, never on how the work is scheduled. The substreams run on one
 worker thread per CPU the process may use (numpy releases the interpreter

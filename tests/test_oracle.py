@@ -129,8 +129,8 @@ def substream(seed, i):
 
 
 def folded_law(expr, r):
-    """The constant plus each seed's coefficient times mean, and per seed in
-    (id, axis) order its coefficient times standard deviation."""
+    """The expression's constant plus each coefficient times its seed's mean,
+    and the (seed, coefficient times sd) pairs in (id, axis) order."""
     constant, terms = expr.constant, []
     for var in sorted(expr.terms, key=seed_order):
         coeff = expr.terms[var]
@@ -369,7 +369,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_failure_reaches_caller(self, monkeypatch, workers):
-        real_bits, real_generator = oracle.SFC64, oracle.Generator
+        real_bits, real_gen = oracle.SFC64, oracle.Generator
         broken_bits = object()
 
         class Broken:
@@ -381,7 +381,7 @@ class TestWorkers:
         monkeypatch.setattr(oracle, "SFC64",
                             lambda seq: broken_bits if seq.entropy[1] == 1 else real_bits(seq))
         monkeypatch.setattr(oracle, "Generator",
-                            lambda bits: Broken() if bits is broken_bits else real_generator(bits))
+                            lambda bits: Broken() if bits is broken_bits else real_gen(bits))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="substream 1 failed"):
             sample_exprs(mixed_exprs(), 0.7, 50_000, 7)
