@@ -7,9 +7,9 @@ with 17 significant digits so files round-trip exactly and repeated runs
 are byte-identical.
 
 CSV rows are encoded in bulk: each distinct float (by bit pattern, so
-``-0.0`` and ``0.0`` stay apart) is formatted once, and rows are joined
-and written ``_CHUNK_ROWS`` at a time, so a large dataset never exists as
-one string on its way to disk.
+``-0.0`` and ``0.0`` stay apart) is formatted once, and each block of
+``_CHUNK_ROWS`` rows is one flat join over those strings and the
+separators, so a large dataset never exists as one string on its way to disk.
 
 numpy is imported by the dataset constructor and the CSV encoder
 themselves, so importing this module and :func:`format_float` cost no numpy
@@ -28,6 +28,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _CHUNK_ROWS = 4096
+_FLOAT_SPEC = ".17g"
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ class CurveDataset:
         import numpy as np
 
         arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != len(self.columns):
-            raise ValueError("values shape does not match columns")
+        if arr.ndim != 2 or not 0 < len(self.columns) == arr.shape[1]:
+            raise ValueError("values need one column per name, and at least one column")
         if not np.all(np.isfinite(arr)):
             raise ValueError("dataset contains non-finite entries")
         object.__setattr__(self, "values", arr)
@@ -61,7 +62,7 @@ class CurveDataset:
 
 
 def format_float(value: float) -> str:
-    return format(float(value), ".17g")
+    return format(float(value), _FLOAT_SPEC)
 
 
 def _header_config(dataset: CurveDataset, config: dict | None) -> dict:
@@ -84,15 +85,19 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[str]:
               + ",".join(dataset.columns) + "\n")
     values = dataset.values
     bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
-    table = np.array([format_float(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    floats = map(float.__format__, bits.view(float).tolist(), itertools.repeat(_FLOAT_SPEC))
+    table = np.array([*floats, ",", "\n"], dtype=object)
     cells = inverse.reshape(values.shape)
+    index = np.full((min(len(cells), _CHUNK_ROWS), 2 * cells.shape[1]), len(bits))
+    index[:, -1] = len(bits) + 1
 
-    def rows() -> Iterator[str]:
+    def blocks() -> Iterator[str]:
         for start in range(0, len(cells), _CHUNK_ROWS):
-            block = table[cells[start:start + _CHUNK_ROWS]].tolist()
-            yield "\n".join(map(",".join, block)) + "\n"
+            block = cells[start:start + _CHUNK_ROWS]
+            index[:len(block), ::2] = block
+            yield "".join(table[index[:len(block)]].ravel().tolist())
 
-    return itertools.chain((header,), rows())
+    return itertools.chain((header,), blocks())
 
 
 def dataset_to_csv(dataset: CurveDataset, config: dict | None = None) -> str:

@@ -245,6 +245,7 @@ class TestOutputs:
     @pytest.mark.parametrize("variant,argv", [
         ("grid41-csv", ("--grid", "41")),
         ("grid41-json", ("--grid", "41", "--format", "json")),
+        ("grid201-csv", ()),
     ])
     def test_figures_match_golden_digests(self, capsys, tmp_path, monkeypatch, variant, argv):
         # the benchmark's recorded digests; its default output directory is

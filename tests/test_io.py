@@ -87,6 +87,7 @@ class TestCsvEncoder:
     @example(np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]]))
     @example(np.array([[5e-324, -1e308, 1e308, 0.0, -0.0, 1.0 / 3.0]]))
     @example(np.array([[0.0], [-0.0], [5e-324], [1e308], [0.0]]))
+    @example(np.array([[-0.0], [0.0], [-0.0], [-0.0]]))
     @example(np.arange(24.0).reshape(4, 6)[:, 1::2])
     def test_matches_per_float_encoder(self, values):
         dataset = CurveDataset(tag="t", columns=tuple(f"c{i}" for i in range(values.shape[1])),
@@ -98,18 +99,26 @@ class TestCsvEncoder:
             assert path.read_bytes() == text.encode()
 
     def test_blocks_join_seamlessly(self, tmp_path):
-        rng = np.random.default_rng(7)
-        values = rng.choice(rng.normal(size=500), size=(2 * _CHUNK_ROWS + 3, 3))
-        values[::5, 1] = -0.0
-        dataset = CurveDataset(tag="t", columns=("a", "b", "c"), values=values)
-        text = dataset_to_csv(dataset)
-        assert text == reference_csv(dataset)
-        path = write_dataset(dataset, tmp_path / "d.csv", "csv")
-        assert path.read_bytes() == text.encode()
+        # with one column every separator is a newline, so the seams differ
+        for columns in (("a",), ("a", "b", "c")):
+            rng = np.random.default_rng(7)
+            values = rng.choice(rng.normal(size=500), size=(2 * _CHUNK_ROWS + 3, len(columns)))
+            values[::5, len(columns) // 2] = -0.0
+            dataset = CurveDataset(tag="t", columns=columns, values=values)
+            text = dataset_to_csv(dataset)
+            assert text == reference_csv(dataset)
+            path = write_dataset(dataset, tmp_path / "d.csv", "csv")
+            assert path.read_bytes() == text.encode()
 
     def test_empty_dataset(self):
         dataset = CurveDataset(tag="t", columns=("a", "b"), values=np.empty((0, 2)))
         assert dataset_to_csv(dataset) == reference_csv(dataset)
+
+    @pytest.mark.parametrize("columns,shape", [((), (3, 0)), (("a",), (3, 2)), (("a",), (3,))])
+    def test_values_need_one_column_per_name(self, columns, shape):
+        # a row without columns would have no cell to end it
+        with pytest.raises(ValueError):
+            CurveDataset(tag="t", columns=columns, values=np.zeros(shape))
 
 
 class TestJson:
