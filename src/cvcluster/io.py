@@ -85,8 +85,8 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[str]:
               + ",".join(dataset.columns) + "\n")
     values = dataset.values
     bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
-    floats = map(float.__format__, bits.view(float).tolist(), itertools.repeat(_FLOAT_SPEC))
-    table = np.array([*floats, ",", "\n"], dtype=object)
+    strings = map(float.__format__, bits.view(float).tolist(), itertools.repeat(_FLOAT_SPEC))
+    table = np.array([*strings, ",", "\n"], dtype=object)
     cells = inverse.reshape(values.shape)
     index = np.full((min(len(cells), _CHUNK_ROWS), 2 * cells.shape[1]), len(bits))
     index[:, -1] = len(bits) + 1
