@@ -29,8 +29,7 @@ _EXPORTS = {
         "wigner",
     ),
     "cluster": (
-        "CLUSTER_NETWORK", "INSEPARABILITY_BOUND", "SLOT_MODES", "SOURCE_KINDS",
-        "BeamsplitterSpec", "ClusterState", "InseparabilityReport", "build_cluster",
+        "INSEPARABILITY_BOUND", "ClusterState", "InseparabilityReport", "build_cluster",
         "inseparability_check", "inseparability_threshold", "nullifier_variances",
         "nullifiers",
     ),

@@ -33,6 +33,7 @@ from typing import Callable
 
 from .algebra import QuadExpr, rotate_quadrature
 from .cluster import (
+    INSEPARABILITY_BOUND,
     build_cluster,
     inseparability_check,
     inseparability_threshold,
@@ -388,7 +389,7 @@ def cmd_prepare(cfg: dict) -> int:
     results = {
         "nullifier_variances": list(nullifier_variances(cluster, r)),
         "inseparability_lhs": list(report.lhs),
-        "bound": report.bound,
+        "bound": INSEPARABILITY_BOUND,
         "satisfied": list(report.satisfied),
         "all_satisfied": report.all_satisfied,
         "threshold_r": inseparability_threshold(),

@@ -2,40 +2,86 @@
 
 Not part of the package. The route pushes the 8x8 source covariance matrix
 through the preparation network as explicit symplectic matrices (Weedbrook
-et al., Rev. Mod. Phys. 84, 621 (2012)). It shares
-:func:`~cvcluster.algebra.splitter_matrix` with the expression algebra, so it
-checks the algebra's moment sums but not the splitter itself; the
-hand-derived cluster coefficients (``CLUSTER_COEFFS`` in ``test_cluster.py``)
-and the Monte-Carlo route anchor that.
+et al., Rev. Mod. Phys. 84, 621 (2012)). It states the network, the source
+kinds, the slot map and the nullifiers itself, and builds each splitter from
+its generators with a matrix exponential, so it shares no table and no
+splitter with :func:`cvcluster.build_cluster`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
-from cvcluster.algebra import Axis, splitter_matrix, squeezed_variance
-from cvcluster.cluster import NULLIFIER_TERMS, SLOT_MODES, SOURCE_KINDS, BeamsplitterSpec
+from cvcluster.algebra import Axis, SeedKind, squeezed_variance
+
+#: Source kinds of slots 0..3, which hold a1..a4 before the network runs.
+SOURCE_KINDS = (
+    SeedKind.PHASE_QUIET,
+    SeedKind.AMPLITUDE_QUIET,
+    SeedKind.AMPLITUDE_QUIET,
+    SeedKind.PHASE_QUIET,
+)
+
+#: The preparation network as ``(slot_a, slot_b, transmittance, phase)``
+#: splitters; the first output replaces ``slot_a``, the second ``slot_b``.
+#: The 1:4 splitter leaves the bright arm in slot 1 and the dim arm in slot 2;
+#: the 50:50 splitters then overwrite slots (1, 0) and (2, 3).
+NETWORK = (
+    (1, 2, 0.8, math.pi / 2),
+    (1, 0, 0.5, 0.0),
+    (2, 3, 0.5, math.pi / 2),
+)
+
+#: Which cluster mode each slot holds after the network runs.
+SLOT_MODES = ("b2", "b1", "b3", "b4")
+
+#: Nullifier coefficient rows over ``(x_slot0, y_slot0, ..., x_slot3, y_slot3)``:
+#: b1.y - b2.y, b1.x + b2.x + b3.x, -b2.y + b3.y + b4.y and b3.x - b4.x.
+NULLIFIER_ROWS = (
+    (0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+    (1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+    (0.0, -1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0),
+    (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0),
+)
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+#: Generator of the real orthogonal mixing of modes a and b on ``(a.x, a.y, b.x, b.y)``.
+_MIX = np.kron(_J2, np.eye(2))
+#: Generator of a phase-space rotation of mode b alone.
+_ROTATE_B = np.kron(np.diag([0.0, 1.0]), -_J2)
 
 
-def beamsplitter_symplectic(spec: BeamsplitterSpec) -> np.ndarray:
-    """The splitter block placed at the spec's two slots of the 8-vector."""
-    slots = [2 * spec.mode_a, 2 * spec.mode_a + 1, 2 * spec.mode_b, 2 * spec.mode_b + 1]
+def splitter_symplectic(transmittance: float, phase_diff: float) -> np.ndarray:
+    """The 4x4 splitter map on ``(a.x, a.y, b.x, b.y)``, built from generators.
+
+    Mode b is rotated by ``phase_diff``, the pair is mixed by the angle whose
+    cosine is sqrt(transmittance), and the second output is rotated by pi,
+    the sign the reflection gives it.
+    """
+    angle = math.atan2(math.sqrt(1.0 - transmittance), math.sqrt(transmittance))
+    return expm(math.pi * _ROTATE_B) @ expm(angle * _MIX) @ expm(phase_diff * _ROTATE_B)
+
+
+def beamsplitter_symplectic(step: tuple[int, int, float, float]) -> np.ndarray:
+    """One :data:`NETWORK` splitter placed at its two slots of the 8-vector."""
+    slot_a, slot_b, transmittance, phase_diff = step
+    slots = [2 * slot_a, 2 * slot_a + 1, 2 * slot_b, 2 * slot_b + 1]
     mat = np.eye(2 * len(SOURCE_KINDS))
-    mat[np.ix_(slots, slots)] = splitter_matrix(spec.transmittance, spec.phase_diff)
+    mat[np.ix_(slots, slots)] = splitter_symplectic(transmittance, phase_diff)
     return mat
 
 
 def covariance_propagate(
-    network: Sequence[BeamsplitterSpec | np.ndarray],
+    network: Sequence[tuple[int, int, float, float] | np.ndarray],
     r: float,
 ) -> np.ndarray:
     """Push the diagonal source covariance (x before y per slot) through a network.
 
-    Steps are :class:`BeamsplitterSpec` or raw 8x8 matrices, each checked
+    Steps are :data:`NETWORK` splitters or raw 8x8 matrices, each checked
     against the symplectic form first. ``squeezed_variance`` rejects r < 0.
     """
     diag = []
@@ -52,14 +98,3 @@ def covariance_propagate(
             raise ValueError("non-symplectic transform supplied")
         sigma = mat @ sigma @ mat.T
     return sigma
-
-
-def nullifier_slot_vectors() -> np.ndarray:
-    """Nullifier coefficient rows over ``(x_slot0, y_slot0, ..., y_slot3)``."""
-    slot_of = {name: i for i, name in enumerate(SLOT_MODES)}
-    rows = np.zeros((len(NULLIFIER_TERMS), 8))
-    for i, combo in enumerate(NULLIFIER_TERMS):
-        for name, axis, sign in combo:
-            offset = 0 if axis is Axis.X else 1
-            rows[i, 2 * slot_of[name] + offset] = sign
-    return rows

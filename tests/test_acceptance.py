@@ -14,7 +14,6 @@ from scipy.optimize import minimize_scalar
 
 import cvcluster.cli as cli
 from cvcluster import (
-    CLUSTER_NETWORK,
     CxParams,
     DisplacementParams,
     SqueezerParams,
@@ -40,7 +39,7 @@ from cvcluster import (
     squeezing_threshold,
 )
 
-from reference import covariance_propagate, nullifier_slot_vectors
+from reference import NETWORK, NULLIFIER_ROWS, covariance_propagate
 from test_cluster import CLUSTER_COEFFS
 
 R_GRID = (0.0, 0.5, 1.0, 2.0)
@@ -66,12 +65,12 @@ def test_criterion_1_cluster_calibration(cluster):
         ok &= len(expr.terms) == len(expected)
         for (seed, ax), coeff in expected.items():
             ok &= abs(expr.coefficient(seed, ax) - coeff) < 1e-12
-    vecs = nullifier_slot_vectors()
+    vecs = np.array(NULLIFIER_ROWS)
     for r in R_GRID:
         want = np.array([2.0, 3.0, 3.0, 2.0]) * math.exp(-2.0 * r)
         direct = np.array(nullifier_variances(cluster, r))
         ok &= np.max(np.abs(direct - want)) < 1e-9
-        cov = covariance_propagate(CLUSTER_NETWORK, r)
+        cov = covariance_propagate(NETWORK, r)
         matrix_route = np.array([v @ cov @ v for v in vecs])
         ok &= np.max(np.abs(matrix_route - want)) < 1e-9
     _report(1, "network coefficients and nullifier variances", ok)

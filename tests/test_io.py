@@ -63,6 +63,22 @@ def reference_csv(dataset, config=None):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(got, want):
+    """Assert two texts (str or bytes) are equal, naming the first differing line.
+
+    A bare ``assert got == want`` on texts of hundreds of kilobytes makes
+    pytest build a full line diff, which can run for minutes.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    index = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+                 min(len(got_lines), len(want_lines)))
+    raise AssertionError(f"texts differ at line {index} of {len(got_lines)} "
+                         f"(want {len(want_lines)}): got {got_lines[index:index + 1]!r}, "
+                         f"want {want_lines[index:index + 1]!r}")
+
+
 #: Signed zeros, subnormals, the extremes and values whose digits run long.
 SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                   1e308, -1e308, 1.7976931348623157e308, 1.0, -1.0, 1.0 / 3.0, 0.1)
@@ -93,10 +109,10 @@ class TestCsvEncoder:
         dataset = CurveDataset(tag="t", columns=tuple(f"c{i}" for i in range(values.shape[1])),
                                values=values, meta={"m": 1})
         text = dataset_to_csv(dataset, {"k": 2})
-        assert text == reference_csv(dataset, {"k": 2})
+        assert_same_text(text, reference_csv(dataset, {"k": 2}))
         with tempfile.TemporaryDirectory() as tmp:
             path = write_dataset(dataset, Path(tmp) / "d.csv", "csv", {"k": 2})
-            assert path.read_bytes() == text.encode()
+            assert_same_text(path.read_bytes(), text.encode())
 
     def test_blocks_join_seamlessly(self, tmp_path):
         # with one column every separator is a newline, so the seams differ
@@ -106,13 +122,13 @@ class TestCsvEncoder:
             values[::5, len(columns) // 2] = -0.0
             dataset = CurveDataset(tag="t", columns=columns, values=values)
             text = dataset_to_csv(dataset)
-            assert text == reference_csv(dataset)
+            assert_same_text(text, reference_csv(dataset))
             path = write_dataset(dataset, tmp_path / "d.csv", "csv")
-            assert path.read_bytes() == text.encode()
+            assert_same_text(path.read_bytes(), text.encode())
 
     def test_empty_dataset(self):
         dataset = CurveDataset(tag="t", columns=("a", "b"), values=np.empty((0, 2)))
-        assert dataset_to_csv(dataset) == reference_csv(dataset)
+        assert_same_text(dataset_to_csv(dataset), reference_csv(dataset))
 
     @pytest.mark.parametrize("columns,shape", [((), (3, 0)), (("a",), (3, 2)), (("a",), (3,))])
     def test_values_need_one_column_per_name(self, columns, shape):

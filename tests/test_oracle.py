@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from cvcluster import (
-    CLUSTER_NETWORK,
     CxParams,
     SampleEstimate,
     SeedKind,
@@ -28,13 +27,18 @@ from cvcluster import (
     QuadExpr,
     sample_expr,
     sample_exprs,
-    SLOT_MODES,
     squeezed_mode,
 )
 from cvcluster import oracle
 from cvcluster.oracle import BLOCK
 
-from reference import beamsplitter_symplectic, covariance_propagate, nullifier_slot_vectors
+from reference import (
+    NETWORK,
+    NULLIFIER_ROWS,
+    SLOT_MODES,
+    beamsplitter_symplectic,
+    covariance_propagate,
+)
 
 
 def squeezed_y(label="m"):
@@ -419,7 +423,7 @@ class TestCovariancePropagation:
         for mode in order:
             quads.extend([mode.x, mode.y])
         for r in (0.0, 0.7, 1.5):
-            mat = covariance_propagate(CLUSTER_NETWORK, r)
+            mat = covariance_propagate(NETWORK, r)
             ref = np.array(
                 [[a.covariance(b, r) for b in quads] for a in quads]
             )
@@ -427,9 +431,9 @@ class TestCovariancePropagation:
 
     def test_nullifier_quadratic_forms(self):
         cluster = build_cluster()
-        vecs = nullifier_slot_vectors()
+        vecs = np.array(NULLIFIER_ROWS)
         for r in (0.0, 1.0, 2.0):
-            cov = covariance_propagate(CLUSTER_NETWORK, r)
+            cov = covariance_propagate(NETWORK, r)
             got = np.array([v @ cov @ v for v in vecs])
             want = np.array(nullifier_variances(cluster, r))
             assert np.max(np.abs(got - want)) < 1e-12
@@ -437,12 +441,12 @@ class TestCovariancePropagation:
     def test_determinant_is_one(self):
         # symplectic transforms of pure squeezed inputs keep det = 1
         for r in (0.0, 0.5, 1.0, 2.0):
-            cov = covariance_propagate(CLUSTER_NETWORK, r)
+            cov = covariance_propagate(NETWORK, r)
             assert np.linalg.det(cov) == pytest.approx(1.0, abs=1e-9)
 
     def test_symplectic_blocks(self):
-        for spec in CLUSTER_NETWORK:
-            mat = beamsplitter_symplectic(spec)
+        for step in NETWORK:
+            mat = beamsplitter_symplectic(step)
             j = np.kron(np.eye(4), np.array([[0.0, 1.0], [-1.0, 0.0]]))
             assert np.allclose(mat @ j @ mat.T, j, atol=1e-12)
 

@@ -12,8 +12,6 @@ import numpy as np
 import pytest
 
 from cvcluster import (
-    CLUSTER_NETWORK,
-    SLOT_MODES,
     CxParams,
     DisplacementParams,
     SqueezerParams,
@@ -28,8 +26,9 @@ from cvcluster import (
     rotated_output_variance,
     squeezer_gate,
 )
+from cvcluster.algebra import splitter_matrix
 
-from reference import covariance_propagate
+from reference import NETWORK, SLOT_MODES, covariance_propagate, splitter_symplectic
 
 R_GRID = np.linspace(0.0, 50.0, 51)
 REL = 1e-12
@@ -86,8 +85,17 @@ def test_covariance_route():
     cluster = build_cluster()
     quads = [q for name in SLOT_MODES for q in (cluster.mode(name).x, cluster.mode(name).y)]
     for r in R_GRID:
-        route = covariance_propagate(CLUSTER_NETWORK, r)
+        route = covariance_propagate(NETWORK, r)
         algebra = np.array([[a.covariance(b, r) for b in quads] for a in quads])
         scale = np.sqrt(np.outer(np.diag(algebra), np.diag(algebra)))
         worst = float(np.max(np.abs(route - algebra) / scale))
         assert worst <= REL, (r, worst)
+
+
+@pytest.mark.parametrize("transmittance", [0.01, 0.2, 0.5, 0.8, 0.99])
+def test_route_splitter_matches_algebra(transmittance):
+    # the route builds its splitter from generators, the algebra writes it out
+    for phase in np.linspace(-2.0 * math.pi, 2.0 * math.pi, 17):
+        got = splitter_symplectic(transmittance, phase)
+        want = np.array(splitter_matrix(transmittance, phase))
+        assert np.max(np.abs(got - want)) <= 1e-12, (transmittance, phase)
