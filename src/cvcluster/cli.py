@@ -54,7 +54,7 @@ from .gates import (
     squeezer_gate,
     squeezing_threshold,
 )
-from .io import CurveDataset, format_float, write_dataset
+from .io import CurveDataset, format_float, write_dataset, write_datasets
 
 EXIT_OK = 0
 EXIT_UNMET = 1
@@ -499,16 +499,13 @@ def cmd_figures(cfg: dict) -> int:
     except OSError as exc:
         print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO
-    written = []
+    jobs = [(dataset, out_dir / f"{name}.{ext}") for name, dataset in datasets.items()]
     try:
-        for name, dataset in datasets.items():
-            path = out_dir / f"{name}.{ext}"
-            write_dataset(dataset, path, ext, resolved)
-            written.append(str(path))
+        write_datasets(jobs, ext, resolved)
     except OSError as exc:
         print(f"error: cannot write datasets: {exc}", file=sys.stderr)
         return EXIT_IO
-    _emit_report("figures", cfg, {"files": written})
+    _emit_report("figures", cfg, {"files": [str(path) for _, path in jobs]})
     return EXIT_OK
 
 

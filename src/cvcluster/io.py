@@ -10,6 +10,7 @@ CSV rows are encoded in bulk: each distinct float (by bit pattern, so
 ``-0.0`` and ``0.0`` stay apart) is formatted once, and each block of
 ``_CHUNK_ROWS`` rows is one flat join over those strings and the
 separators, so a large dataset never exists as one string on its way to disk.
+:func:`write_datasets` writes many files on one process per usable CPU.
 
 numpy is imported by the dataset constructor and the CSV encoder
 themselves, so importing this module and :func:`format_float` cost no numpy
@@ -20,9 +21,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,3 +134,70 @@ def write_dataset(
     with target.open("w", encoding="utf-8") as handle:
         handle.writelines(blocks)
     return target
+
+
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_share(jobs, share: list[int], fmt: str, config: dict | None) -> dict[int, OSError]:
+    failures = {}
+    for i in share:
+        try:
+            write_dataset(*jobs[i], fmt, config)
+        except OSError as exc:
+            failures[i] = exc
+    return failures
+
+
+def write_datasets(jobs: Sequence[tuple[CurveDataset, str | Path]], fmt: str = "csv",
+                   config: dict | None = None) -> None:
+    """Write each ``(dataset, path)`` job as :func:`write_dataset` does.
+
+    The jobs go round-robin, largest first, to min(jobs, CPUs the process
+    may use) workers: this process and forked children, each writing its
+    share in job order. The ``OSError`` of the earliest failing job is
+    raised once every child has exited; a child that ends without reporting
+    fails its first job. Nothing is forked for one job or one CPU, without
+    ``os.fork``, or while another thread is alive.
+    """
+    forkable = hasattr(os, "fork") and threading.active_count() == 1  # unsafe with threads
+    workers = max(min(len(jobs), _cpus()), 1) if forkable else 1
+    largest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].values.size)
+    mine, *shares = [sorted(largest_first[w::workers]) for w in range(workers)]
+    children, failures = [], {}
+    try:
+        for share in shares:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this one writes the share
+                os.close(read_fd)
+                os.close(write_fd)
+                mine = sorted(mine + share)
+                continue
+            if pid == 0:  # the child reports its failures and leaves without cleanup
+                try:
+                    report = _write_share(jobs, share, fmt, config)
+                    with os.fdopen(write_fd, "w") as pipe:
+                        json.dump([[i, str(exc)] for i, exc in report.items()], pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children.append((pid, read_fd, share))
+        failures = _write_share(jobs, mine, fmt, config)
+    finally:
+        for pid, read_fd, share in children:
+            with os.fdopen(read_fd) as pipe:
+                report = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status == 0:
+                failures.update((i, OSError(message)) for i, message in json.loads(report))
+            else:
+                failures[share[0]] = OSError(f"writer process exited with status {status}")
+    if failures:
+        raise failures[min(failures)]

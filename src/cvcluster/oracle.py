@@ -20,7 +20,6 @@ on any number of CPUs.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,6 +28,7 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence  # loaded here, not in a worker
 
 from .algebra import QuadExpr, SeedVar, _check_r
+from .io import _cpus
 
 _MAX_SEED = 2**64
 
@@ -58,13 +58,6 @@ def _chunk_sizes(n: int, streams: int) -> list[int]:
 
 def _seed_order(seed: SeedVar) -> tuple[str, str]:
     return seed.id, seed.axis.value
-
-
-def _cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def sample_exprs(

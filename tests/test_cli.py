@@ -3,11 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import cvcluster
 import cvcluster.cli as cli
 import cvcluster.oracle
 from cvcluster.oracle import CertifyResult
@@ -257,6 +261,22 @@ class TestOutputs:
         got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (tmp_path / "figures").iterdir()}
         assert got == golden
+
+    def test_figures_in_fresh_process_report_once(self, capsys, tmp_path, monkeypatch):
+        # the writer's children leave without flushing this process's stdout
+        src = Path(cvcluster.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        (tmp_path / "fresh").mkdir()
+        proc = subprocess.run([sys.executable, "-m", "cvcluster", "figures", "--grid", "5"],
+                              cwd=tmp_path / "fresh", env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, timeout=120, check=False)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "figures", "--grid", "5")
+        assert (proc.returncode, proc.stderr, proc.stdout) == (code, "", out)
+        assert out.count("files: ") == 1
+        for path in (tmp_path / "figures").iterdir():
+            assert (tmp_path / "fresh" / "figures" / path.name).read_bytes() == path.read_bytes()
 
     def test_figures_json_format(self, capsys, tmp_path):
         target = tmp_path / "figs"

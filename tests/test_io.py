@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import cvcluster.io
 from cvcluster import CurveDataset, format_float, write_dataset
-from cvcluster.io import _CHUNK_ROWS, _header_config, dataset_to_csv, dataset_to_json
+from cvcluster.io import (_CHUNK_ROWS, _header_config, dataset_to_csv, dataset_to_json,
+                          write_datasets)
 
 
 @pytest.fixture
@@ -162,6 +166,119 @@ class TestWriteDataset:
         first = p1.read_bytes()
         p2 = write_dataset(dataset, tmp_path / "one.csv", "csv", {"k": 1})
         assert p2.read_bytes() == first
+
+
+def many_jobs(directory, fmt, rows=(1, 400, 30, 9, 5000, 30)):
+    """Datasets of the given row counts, in order, each with its own file."""
+    directory.mkdir(exist_ok=True)
+    rng = np.random.default_rng(11)
+    return [(CurveDataset(tag=f"d{i}", columns=("a", "b", "c"), values=rng.normal(size=(n, 3))),
+             directory / f"d{i}.{fmt}") for i, n in enumerate(rows)]
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts calls of os.fork, which go through to the real one."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def refuse_fork():
+    raise AssertionError("os.fork called")
+
+
+class TestWriteDatasets:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 9])
+    def test_bytes_match_write_dataset(self, tmp_path, monkeypatch, forks, fmt, cpus):
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: cpus)
+        jobs = many_jobs(tmp_path / "many", fmt)
+        write_datasets(jobs, fmt, {"k": 1})
+        assert_no_children()
+        assert len(forks) == min(cpus, len(jobs)) - 1
+        for dataset, path in jobs:
+            alone = write_dataset(dataset, tmp_path / path.name, fmt, {"k": 1})
+            assert path.read_bytes() == alone.read_bytes()
+
+    @pytest.mark.parametrize("blocked,first", [({0, 1}, 0), ({1, 2}, 1), ({2, 3}, 2)])
+    def test_earliest_failure_reported(self, tmp_path, monkeypatch, forks, blocked, first):
+        # on two CPUs, largest first, this process writes jobs 1, 3 and 5 and
+        # the child writes 0, 2 and 4; each blocked pair spans both
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 2)
+        jobs = many_jobs(tmp_path, "csv", rows=(1, 5000, 400, 9, 30, 300))
+        for i in blocked:
+            jobs[i][1].mkdir()
+        with pytest.raises(OSError) as sequential:
+            write_dataset(*jobs[first], "csv")
+        with pytest.raises(OSError) as parallel:
+            write_datasets(jobs, "csv")
+        assert_no_children()
+        assert forks == [1]
+        assert str(parallel.value) == str(sequential.value)
+        for i, (dataset, path) in enumerate(jobs):
+            assert path.is_dir() if i in blocked else path.read_text().startswith("# ")
+
+    @pytest.mark.parametrize("end_child,status", [(lambda: os._exit(7), 7), (lambda: 1 / 0, 1)])
+    def test_child_that_ends_without_reporting(self, tmp_path, monkeypatch, end_child, status):
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 2)
+        parent = os.getpid()
+        real_write = cvcluster.io.write_dataset
+
+        def write_or_end(*args):
+            if os.getpid() != parent:
+                end_child()
+            return real_write(*args)
+
+        monkeypatch.setattr(cvcluster.io, "write_dataset", write_or_end)
+        jobs = many_jobs(tmp_path, "csv")
+        with pytest.raises(OSError, match=f"^writer process exited with status {status}$"):
+            write_datasets(jobs, "csv")
+        assert_no_children()
+
+    def test_no_fork_on_one_cpu_or_one_job(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 1)
+        write_datasets(many_jobs(tmp_path / "one-cpu", "csv"), "csv")
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 4)
+        write_datasets(many_jobs(tmp_path / "one-job", "csv", rows=(50,)), "csv")
+        assert len(list(tmp_path.glob("*/*.csv"))) == 7
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 4)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            write_datasets(many_jobs(tmp_path, "csv"), "csv")
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(list(tmp_path.glob("*.csv"))) == 6
+
+    def test_failed_fork_writes_in_process(self, tmp_path, monkeypatch):
+        def fork_fails():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork_fails)
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 3)
+        jobs = many_jobs(tmp_path / "many", "csv")
+        write_datasets(jobs, "csv")
+        for dataset, path in jobs:
+            assert path.read_bytes() == write_dataset(dataset, tmp_path / path.name).read_bytes()
 
 
 def test_module_entrypoint_runs():
