@@ -54,7 +54,7 @@ from .gates import (
     squeezer_gate,
     squeezing_threshold,
 )
-from .io import CurveDataset, format_float, write_dataset, write_datasets
+from .io import CurveDataset, _writing_ahead, format_float, write_dataset
 
 EXIT_OK = 0
 EXIT_UNMET = 1
@@ -501,7 +501,9 @@ def cmd_figures(cfg: dict) -> int:
         return EXIT_IO
     jobs = [(dataset, out_dir / f"{name}.{ext}") for name, dataset in datasets.items()]
     try:
-        write_datasets(jobs, ext, resolved)
+        with _writing_ahead(jobs, ext, resolved):
+            for dataset, path in jobs:
+                write_dataset(dataset, path, ext, resolved)
     except OSError as exc:
         print(f"error: cannot write datasets: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -10,7 +10,6 @@ CSV rows are encoded in bulk: each distinct float (by bit pattern, so
 ``-0.0`` and ``0.0`` stay apart) is formatted once, and each block of
 ``_CHUNK_ROWS`` rows is one flat join over those strings and the
 separators, so a large dataset never exists as one string on its way to disk.
-:func:`write_datasets` writes many files on one process per usable CPU.
 
 numpy is imported by the dataset constructor and the CSV encoder
 themselves, so importing this module and :func:`format_float` cost no numpy
@@ -19,6 +18,7 @@ import.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 
 _CHUNK_ROWS = 4096
 _FLOAT_SPEC = ".17g"
+#: path -> pipe on which a child of _writing_ahead reports that file written
+_AHEAD: dict[str, int] = {}
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,12 @@ def write_dataset(
     fmt: str = "csv",
     config: dict | None = None,
 ) -> Path:
-    """Serialize a dataset to ``path``; returns the written path."""
+    """Serialize a dataset to ``path``, unless _writing_ahead's child did; returns the path."""
+    report = _AHEAD.pop(str(path), None)
+    if report is not None:
+        with open(report, "rb") as pipe:
+            if pipe.read(1):
+                return Path(path)
     if fmt == "csv":
         blocks: Iterable[str] = _csv_blocks(dataset, config)
     elif fmt == "json":
@@ -143,61 +150,42 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_share(jobs, share: list[int], fmt: str, config: dict | None) -> dict[int, OSError]:
-    failures = {}
-    for i in share:
-        try:
-            write_dataset(*jobs[i], fmt, config)
-        except OSError as exc:
-            failures[i] = exc
-    return failures
+@contextlib.contextmanager
+def _writing_ahead(jobs: Sequence[tuple[CurveDataset, Path]], fmt: str,
+                   config: dict | None) -> Iterator[None]:
+    """Let forked children write some of the ``(dataset, path)`` jobs meanwhile.
 
-
-def write_datasets(jobs: Sequence[tuple[CurveDataset, str | Path]], fmt: str = "csv",
-                   config: dict | None = None) -> None:
-    """Write each ``(dataset, path)`` job as :func:`write_dataset` does.
-
-    The jobs go round-robin, largest first, to min(jobs, CPUs the process
-    may use) workers: this process and forked children, each writing its
-    share in job order. The ``OSError`` of the earliest failing job is
-    raised once every child has exited; a child that ends without reporting
-    fails its first job. Nothing is forked for one job or one CPU, without
-    ``os.fork``, or while another thread is alive.
+    The jobs go round-robin, largest first, to min(jobs, usable CPUs)
+    workers; :func:`write_dataset`, still called here for every job, waits
+    for a child's report on the file. Nothing is forked for one job or CPU,
+    without ``os.fork``, or while another Python thread is alive and could
+    hold a lock the child needs (native threads, such as numpy's BLAS pool,
+    are not counted).
     """
-    forkable = hasattr(os, "fork") and threading.active_count() == 1  # unsafe with threads
-    workers = max(min(len(jobs), _cpus()), 1) if forkable else 1
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    workers = min(len(jobs), _cpus()) if forkable else 1
     largest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].values.size)
-    mine, *shares = [sorted(largest_first[w::workers]) for w in range(workers)]
-    children, failures = [], {}
+    children = []
     try:
-        for share in shares:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: this one writes the share
-                os.close(read_fd)
-                os.close(write_fd)
-                mine = sorted(mine + share)
-                continue
-            if pid == 0:  # the child reports its failures and leaves without cleanup
+        for share in (sorted(largest_first[w::workers]) for w in range(1, workers)):
+            pipes = [os.pipe() for _ in share]
+            with contextlib.suppress(OSError):  # unforked, its pipes report nothing
+                children.append(os.fork())
+            if children and children[-1] == 0:  # leaves through os._exit, flushing nothing
                 try:
-                    report = _write_share(jobs, share, fmt, config)
-                    with os.fdopen(write_fd, "w") as pipe:
-                        json.dump([[i, str(exc)] for i, exc in report.items()], pipe)
+                    for i, (_, write_fd) in zip(share, pipes):
+                        with open(write_fd, "wb", 0) as report, contextlib.suppress(OSError):
+                            write_dataset(*jobs[i], fmt, config)
+                            report.write(b"1")
                     os._exit(0)
                 finally:
                     os._exit(1)
-            os.close(write_fd)
-            children.append((pid, read_fd, share))
-        failures = _write_share(jobs, mine, fmt, config)
+            for i, (read_fd, write_fd) in zip(share, pipes):
+                os.close(write_fd)
+                _AHEAD[str(jobs[i][1])] = read_fd
+        yield
     finally:
-        for pid, read_fd, share in children:
-            with os.fdopen(read_fd) as pipe:
-                report = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status == 0:
-                failures.update((i, OSError(message)) for i, message in json.loads(report))
-            else:
-                failures[share[0]] = OSError(f"writer process exited with status {status}")
-    if failures:
-        raise failures[min(failures)]
+        while _AHEAD:
+            os.close(_AHEAD.popitem()[1])
+        for pid in children:
+            os.waitpid(pid, 0)

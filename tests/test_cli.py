@@ -13,6 +13,7 @@ import pytest
 
 import cvcluster
 import cvcluster.cli as cli
+import cvcluster.io
 import cvcluster.oracle
 from cvcluster.oracle import CertifyResult
 
@@ -317,6 +318,21 @@ class TestMalformedInputs:
         code, _, err = run(capsys, "figures", "--out", str(blocker / "sub"))
         assert code == 4
         assert "cannot" in err
+
+    @pytest.mark.parametrize("blocked", [("fig4", "fig5"), ("fig5", "fig6")])
+    def test_first_unwritable_figure_file_is_reported(self, capsys, tmp_path, monkeypatch,
+                                                       blocked):
+        # at --grid 5 on two CPUs a forked child writes fig4 and fig6, this process fig5
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 2)
+        target = tmp_path / "figs"
+        for name in blocked:
+            (target / f"{name}.csv").mkdir(parents=True)
+        code, out, err = run(capsys, "figures", "--grid", "5", "--out", str(target))
+        assert (code, out) == (4, "")
+        first = target / f"{blocked[0]}.csv"
+        assert err == f"error: cannot write datasets: [Errno 21] Is a directory: '{first}'\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("span", ["1e300", "1.7e308"])
     def test_overflowing_span(self, capsys, tmp_path, span):

@@ -17,8 +17,8 @@ from hypothesis.extra import numpy as hnp
 
 import cvcluster.io
 from cvcluster import CurveDataset, format_float, write_dataset
-from cvcluster.io import (_CHUNK_ROWS, _header_config, dataset_to_csv, dataset_to_json,
-                          write_datasets)
+from cvcluster.io import (_CHUNK_ROWS, _header_config, _writing_ahead, dataset_to_csv,
+                          dataset_to_json)
 
 
 @pytest.fixture
@@ -176,6 +176,20 @@ def many_jobs(directory, fmt, rows=(1, 400, 30, 9, 5000, 30)):
              directory / f"d{i}.{fmt}") for i, n in enumerate(rows)]
 
 
+def write_all(jobs, fmt, config=None):
+    """Write the jobs as ``figures`` does, each through write_dataset here.
+
+    Returns each file's bytes as read when its write_dataset call returned.
+    """
+    written = []
+    with _writing_ahead(jobs, fmt, config):
+        for dataset, path in jobs:
+            assert write_dataset(dataset, path, fmt, config) == path
+            written.append(path.read_bytes())
+    assert cvcluster.io._AHEAD == {}
+    return written
+
+
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -199,23 +213,31 @@ def refuse_fork():
     raise AssertionError("os.fork called")
 
 
-class TestWriteDatasets:
+class TestWritingAhead:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 9])
     def test_bytes_match_write_dataset(self, tmp_path, monkeypatch, forks, fmt, cpus):
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: cpus)
+        encoded = []
+        for name in ("_csv_blocks", "dataset_to_json"):
+            encoder = getattr(cvcluster.io, name)
+            monkeypatch.setattr(cvcluster.io, name,
+                                lambda *args, f=encoder: encoded.append(1) or f(*args))
         jobs = many_jobs(tmp_path / "many", fmt)
-        write_datasets(jobs, fmt, {"k": 1})
+        written = write_all(jobs, fmt, {"k": 1})
         assert_no_children()
-        assert len(forks) == min(cpus, len(jobs)) - 1
-        for dataset, path in jobs:
+        workers = min(cpus, len(jobs))
+        assert len(forks) == workers - 1
+        # files a child reported are not encoded again here
+        assert len(encoded) == -(-len(jobs) // workers)
+        for (dataset, path), data in zip(jobs, written):
             alone = write_dataset(dataset, tmp_path / path.name, fmt, {"k": 1})
-            assert path.read_bytes() == alone.read_bytes()
+            assert data == path.read_bytes() == alone.read_bytes()
 
     @pytest.mark.parametrize("blocked,first", [({0, 1}, 0), ({1, 2}, 1), ({2, 3}, 2)])
     def test_earliest_failure_reported(self, tmp_path, monkeypatch, forks, blocked, first):
-        # on two CPUs, largest first, this process writes jobs 1, 3 and 5 and
-        # the child writes 0, 2 and 4; each blocked pair spans both
+        # on two CPUs, largest first, the child writes jobs 0, 2 and 4 and
+        # this process 1, 3 and 5; each blocked pair spans both
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 2)
         jobs = many_jobs(tmp_path, "csv", rows=(1, 5000, 400, 9, 30, 300))
         for i in blocked:
@@ -223,36 +245,47 @@ class TestWriteDatasets:
         with pytest.raises(OSError) as sequential:
             write_dataset(*jobs[first], "csv")
         with pytest.raises(OSError) as parallel:
-            write_datasets(jobs, "csv")
+            write_all(jobs, "csv")
         assert_no_children()
         assert forks == [1]
         assert str(parallel.value) == str(sequential.value)
-        for i, (dataset, path) in enumerate(jobs):
-            assert path.is_dir() if i in blocked else path.read_text().startswith("# ")
+        for dataset, path in jobs[:first]:
+            assert path.read_bytes() == write_dataset(dataset, tmp_path / "alone.csv").read_bytes()
 
-    @pytest.mark.parametrize("end_child,status", [(lambda: os._exit(7), 7), (lambda: 1 / 0, 1)])
-    def test_child_that_ends_without_reporting(self, tmp_path, monkeypatch, end_child, status):
+    @pytest.mark.parametrize("end_child", [lambda: os._exit(7), lambda: 1 / 0])
+    def test_files_of_a_child_that_ends_early_are_written_here(self, tmp_path, monkeypatch,
+                                                                end_child):
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 2)
         parent = os.getpid()
-        real_write = cvcluster.io.write_dataset
 
-        def write_or_end(*args):
+        def end_in_child(*args):
             if os.getpid() != parent:
                 end_child()
-            return real_write(*args)
+            return write_dataset(*args)
 
-        monkeypatch.setattr(cvcluster.io, "write_dataset", write_or_end)
-        jobs = many_jobs(tmp_path, "csv")
-        with pytest.raises(OSError, match=f"^writer process exited with status {status}$"):
-            write_datasets(jobs, "csv")
+        monkeypatch.setattr(cvcluster.io, "write_dataset", end_in_child)
+        jobs = many_jobs(tmp_path / "many", "csv")
+        write_all(jobs, "csv")
         assert_no_children()
+        for dataset, path in jobs:
+            assert path.read_bytes() == write_dataset(dataset, tmp_path / path.name).read_bytes()
+
+    def test_failure_here_reaps_the_children(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 3)
+        jobs = many_jobs(tmp_path, "csv")
+        with pytest.raises(RuntimeError, match="stop"):
+            with _writing_ahead(jobs, "csv", None):
+                raise RuntimeError("stop")
+        assert_no_children()
+        assert len(forks) == 2
+        assert cvcluster.io._AHEAD == {}
 
     def test_no_fork_on_one_cpu_or_one_job(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "fork", refuse_fork)
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 1)
-        write_datasets(many_jobs(tmp_path / "one-cpu", "csv"), "csv")
+        write_all(many_jobs(tmp_path / "one-cpu", "csv"), "csv")
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 4)
-        write_datasets(many_jobs(tmp_path / "one-job", "csv", rows=(50,)), "csv")
+        write_all(many_jobs(tmp_path / "one-job", "csv", rows=(50,)), "csv")
         assert len(list(tmp_path.glob("*/*.csv"))) == 7
 
     def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch):
@@ -262,7 +295,7 @@ class TestWriteDatasets:
         thread = threading.Thread(target=release.wait, args=(30,))
         thread.start()
         try:
-            write_datasets(many_jobs(tmp_path, "csv"), "csv")
+            write_all(many_jobs(tmp_path, "csv"), "csv")
         finally:
             release.set()
             thread.join(timeout=30)
@@ -276,7 +309,7 @@ class TestWriteDatasets:
         monkeypatch.setattr(os, "fork", fork_fails)
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 3)
         jobs = many_jobs(tmp_path / "many", "csv")
-        write_datasets(jobs, "csv")
+        write_all(jobs, "csv")
         for dataset, path in jobs:
             assert path.read_bytes() == write_dataset(dataset, tmp_path / path.name).read_bytes()
 
