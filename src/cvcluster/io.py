@@ -11,6 +11,12 @@ CSV rows are encoded in bulk: each distinct float (by bit pattern, so
 ``_CHUNK_ROWS`` rows is one flat join over those strings and the
 separators, so a large dataset never exists as one string on its way to disk.
 
+:func:`_format_floats` gives exactly ``format(x, '.17g')`` from numpy passes
+of IEEE +, -, *, floor and integer operations only (Dekker's exact product,
+round half to even), so its bytes do not depend on numpy's SIMD targets. It
+leaves to ``format`` zeros, magnitudes outside [1e-280, 1e280], values within
+1e-6 of a rounding tie, and arrays shorter than ``_FORMAT_MIN``.
+
 numpy is imported by the dataset constructor and the CSV encoder
 themselves, so importing this module and :func:`format_float` cost no numpy
 import.
@@ -19,6 +25,7 @@ import.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -32,6 +39,9 @@ if TYPE_CHECKING:
 
 _CHUNK_ROWS = 4096
 _FLOAT_SPEC = ".17g"
+#: _format_floats' slice length (4096 raised peak RSS by ~2 MB) and shortest array, the
+#: exponents of _format_tables (10**(16 - e) splits finitely), and Dekker's splitter
+_FORMAT_ROWS, _FORMAT_MIN, _EXP_MAX, _SPLIT = 1024, 300, 284, 2.0**27 + 1
 #: path -> pipe on which a child of _writing_ahead reports that file written
 _AHEAD: dict[str, int] = {}
 
@@ -70,6 +80,83 @@ def format_float(value: float) -> str:
     return format(float(value), _FLOAT_SPEC)
 
 
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """By exponent e, row e + _EXP_MAX: 10**(16 - e) as hi + lo to ~2**-106; the
+    ``.17g`` bytes before and after the digits, the digit the point follows and
+    the fewest digits shown. By 4-digit group g: its ASCII digits; at 10000 * i
+    + g, 3 + the digits shown if g is group i and the last one not 0, else 0."""
+    import numpy as np
+
+    powers, layout = [], bytearray()
+    for e in range(-_EXP_MAX, _EXP_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi_num, hi_den = (num / den).as_integer_ratio()  # int true division rounds correctly
+        powers.append((num / den, (num * hi_den - hi_num * den) / (den * hi_den)))
+        before = "0.000"[:1 - e] if -4 <= e < 0 else ""
+        after = "" if -4 <= e < 17 else f"e{e:+03d}"
+        layout += (before.ljust(5, "\0") + after.ljust(5, "\0")).encode()
+        layout += bytes((e + 1, e + 1) if 0 <= e < 17 else (17 if before else 1, 0))
+    quads = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+    kept = (np.arange(1, 5, dtype=np.uint8) * (quads != ord("0"))).max(axis=-1).ravel()
+    shown, point, q = np.arange(18)[:, None, None], np.arange(18)[:, None], np.arange(-2, 18)
+    # row 18 * shown + point of each: at byte q + 2, show digit q, digit q - 1, "."
+    cells = [(q >= 0) & (q < point) & (q < shown), (q > point) & (q <= shown),
+             ((q == point) & (shown > point)) * np.uint8(ord("."))]
+    return (np.array(powers), np.frombuffer(layout, np.uint8).reshape(-1, 12),
+            quads.view(np.uint32).ravel(),
+            ((kept + np.arange(0, 20, 4, dtype=np.uint8)[:, None]) * (kept > 0)).ravel(),
+            np.stack(cells).astype(np.uint8).reshape(3, 18 * 18, 20))
+
+
+def _format_floats(values: np.ndarray) -> list[str]:
+    """``format(x, '.17g')`` for each float of a 1-d array; see the module docstring."""
+    if len(values) < _FORMAT_MIN:
+        return list(map(float.__format__, values.tolist(), itertools.repeat(_FLOAT_SPEC)))
+    slices = (values[i:i + _FORMAT_ROWS] for i in range(0, len(values), _FORMAT_ROWS))
+    return list(itertools.chain.from_iterable(map(_format_slice, slices)))
+
+
+def _format_slice(x: np.ndarray) -> list[str]:
+    import numpy as np
+
+    powers, layout, quads, ends, cells = _format_tables()
+    exact = (np.abs(x) >= 1e-280) & (np.abs(x) <= 1e280)
+    a = np.where(exact, np.abs(x), 1.0)
+    # floor(floor(log2(a)) * log10(2)), exact here, is floor(log10(a)) or one less
+    e = ((a.view(np.int64) >> 52) - 1023) * 78913 >> 18
+    # a * 10**(16 - e) = p + err, exact but for the rounding of a * lo (Dekker's product)
+    h, lo = powers.take(e + _EXP_MAX, axis=0).T
+    a_hi, h_hi, p = a * _SPLIT - (a * _SPLIT - a), h * _SPLIT - (h * _SPLIT - h), a * h
+    a_lo, h_lo = a - a_hi, h - h_hi
+    err = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo + a * lo
+    digits = p.astype(np.int64) + np.floor(err).astype(np.int64)  # p >= 2**53 is an integer
+    frac = err - np.floor(err)
+    e += (over := digits >= 10**17)  # e was one less than floor(log10(a))
+    frac = np.where(over, (digits % 10 + frac) * 0.1, frac)
+    digits = np.where(over, digits // 10, digits)
+    exact &= (digits >= 10**16) & (digits < 10**17) & (np.abs(frac - 0.5) > 1e-6)
+    digits += frac > 0.5
+    e += digits == 10**17  # rounded up to 18 digits
+    digits[(digits == 10**17) | ~exact] = 10**16
+    groups = np.empty((5, len(x)), np.intp)  # the leading digit, then four 4-digit groups
+    for i in range(4, -1, -1):
+        digits, groups[i] = np.divmod(digits, 10**4 if i else 10)
+    chars = np.append(quads.take(groups.T).view(np.uint8), np.uint8(0))  # "000", 17 digits
+    affixes = layout.take(e + _EXP_MAX, axis=0)
+    shown = np.maximum(ends.take(groups + np.arange(0, 50000, 10000)[:, None]).max(axis=0) - 3,
+                       affixes[:, 11])
+    pattern = shown.astype(np.intp) * 18 + affixes[:, 10]
+    digit, previous, dot = (m.take(pattern, axis=0).ravel() for m in cells)
+    text = np.hstack([((x < 0) * np.uint8(ord("-")))[:, None], affixes[:, :5],
+                      (chars[1:] * digit + chars[:-1] * previous + dot).reshape(-1, 20),
+                      affixes[:, 5:10], np.full((len(x), 1), ord(" "), np.uint8)])
+    strings = text.tobytes().translate(None, b"\0").decode().split()  # NUL marks no byte
+    for i in np.flatnonzero(~exact).tolist():
+        strings[i] = format(x[i].item(), _FLOAT_SPEC)
+    return strings
+
+
 def _header_config(dataset: CurveDataset, config: dict | None) -> dict:
     merged = dict(dataset.meta)
     if config:
@@ -90,8 +177,9 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[str]:
               + ",".join(dataset.columns) + "\n")
     values = dataset.values
     bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
-    strings = map(float.__format__, bits.view(float).tolist(), itertools.repeat(_FLOAT_SPEC))
-    table = np.array([*strings, ",", "\n"], dtype=object)
+    strings = _format_floats(bits.view(float))
+    strings += ",", "\n"
+    table = np.array(strings, dtype=object)
     cells = inverse.reshape(values.shape)
     index = np.full((min(len(cells), _CHUNK_ROWS), 2 * cells.shape[1]), len(bits))
     index[:, -1] = len(bits) + 1
@@ -160,7 +248,9 @@ def _writing_ahead(jobs: Sequence[tuple[CurveDataset, Path]], fmt: str,
     for a child's report on the file. Nothing is forked for one job or CPU,
     without ``os.fork``, or while another Python thread is alive and could
     hold a lock the child needs (native threads, such as numpy's BLAS pool,
-    are not counted).
+    are not counted). A fork that raises ``OSError``, or the
+    ``DeprecationWarning`` of Python >= 3.12 under ``-W error`` while such
+    threads run, leaves its jobs to this process.
     """
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     workers = min(len(jobs), _cpus()) if forkable else 1
@@ -169,7 +259,7 @@ def _writing_ahead(jobs: Sequence[tuple[CurveDataset, Path]], fmt: str,
     try:
         for share in (sorted(largest_first[w::workers]) for w in range(1, workers)):
             pipes = [os.pipe() for _ in share]
-            with contextlib.suppress(OSError):  # unforked, its pipes report nothing
+            with contextlib.suppress(OSError, DeprecationWarning):  # unforked: written here
                 children.append(os.fork())
             if children and children[-1] == 0:  # leaves through os._exit, flushing nothing
                 try:

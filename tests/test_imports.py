@@ -56,6 +56,24 @@ def test_mode_moments_do_not_load_numpy():
     assert json.loads(proc.stdout) == {"same": True, "numpy": False}
 
 
+def test_csv_writing_loads_no_fractions_or_decimal(tmp_path):
+    # the float formatter computes its powers of ten with ints alone
+    script = (
+        "import json, sys\n"
+        "import cvcluster.io as io\n"
+        "numpy_on_import = 'numpy' in sys.modules\n"
+        "import numpy as np\n"
+        "values = np.linspace(-3.0, 3.0, 4 * io._FORMAT_ROWS).reshape(-1, 2) ** 3\n"
+        "io.write_dataset(io.CurveDataset('t', ('a', 'b'), values), sys.argv[1])\n"
+        "print(json.dumps({'numpy_on_import': numpy_on_import,\n"
+        "                  'loaded': sorted({'fractions', 'decimal'} & set(sys.modules))}))\n"
+    )
+    proc = python("-c", script, str(tmp_path / "d.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"numpy_on_import": False, "loaded": []}
+    assert (tmp_path / "d.csv").stat().st_size > 0
+
+
 def test_out_file_in_fresh_process_matches_golden(tmp_path):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]["cx-out-csv"]
     proc = python("-m", "cvcluster", *want["argv"], cwd=tmp_path)

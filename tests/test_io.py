@@ -1,5 +1,7 @@
 """Dataset serialization: headers, float round-trip, format switching."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +20,9 @@ from hypothesis.extra import numpy as hnp
 
 import cvcluster.io
 from cvcluster import CurveDataset, format_float, write_dataset
-from cvcluster.io import (_CHUNK_ROWS, _header_config, _writing_ahead, dataset_to_csv,
-                          dataset_to_json)
+from cvcluster.cli import main as cli_main
+from cvcluster.io import (_CHUNK_ROWS, _FORMAT_MIN, _FORMAT_ROWS, _format_floats, _format_slice,
+                          _header_config, _writing_ahead, dataset_to_csv, dataset_to_json)
 
 
 @pytest.fixture
@@ -37,6 +41,65 @@ class TestFormatting:
     def test_integers_stay_short(self):
         assert format_float(1.0) == "1"
         assert format_float(0.0) == "0"
+
+
+def assert_formats_like_format(values):
+    """_format_floats, and its numpy pass at any length, give format(x, '.17g')."""
+    values = np.asarray(values, dtype=float)
+    want = [format(x, ".17g") for x in values.tolist()]
+    assert _format_floats(values) == want
+    for size in (1, 7, _FORMAT_MIN - 1, _FORMAT_ROWS):
+        head = values[:200 * size]  # slices below _FORMAT_MIN go to format() in _format_floats
+        got = [s for i in range(0, len(head), size) for s in _format_slice(head[i:i + size])]
+        assert got == want[:len(head)], next((g, w) for g, w in zip(got, want) if g != w)
+
+
+def near(value):
+    """value and its neighbours one ulp below and above, both signs."""
+    around = [np.nextafter(value, 0.0), value, np.nextafter(value, np.inf)]
+    return around + [-v for v in around]
+
+
+class TestFormatFloats:
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(16).integers(0, 2**64, 120_000, dtype=np.uint64)
+        values = bits.view(float)
+        assert_formats_like_format(values[np.isfinite(values)])
+
+    def test_powers_of_ten_and_neighbours(self):
+        assert_formats_like_format([v for k in range(-300, 301) for v in near(float(f"1e{k}"))])
+
+    @pytest.mark.parametrize("value", [1e-5, 1e-4, 1e16, 1e17])
+    def test_switch_between_fixed_and_exponent_notation(self, value):
+        assert_formats_like_format(near(value) * (_FORMAT_MIN + 1))
+
+    def test_ties_round_half_to_even(self):
+        ties = [100000000000000.125, 100000000000000.375]
+        assert [format(v, ".17g") for v in ties] == ["100000000000000.12", "100000000000000.38"]
+        assert_formats_like_format(ties * _FORMAT_MIN)
+
+    def test_subnormals_extremes_and_zeros(self):
+        tiny = 2.2250738585072014e-308
+        assert_formats_like_format([5e-324, -5e-324, tiny / 3, -tiny / 7, tiny, 0.0, -0.0,
+                                    1.7976931348623157e308, -1.7976931348623157e308,
+                                    1e-280, 1e280] * 40)
+
+    def test_only_zeros_extremes_and_ties_go_to_format(self, monkeypatch):
+        def near_tie(value):  # its 18th significant digit and beyond are 5 to within 1e-6
+            exact = abs(Fraction(value))
+            scaled = exact * Fraction(10) ** (16 - math.floor(math.log10(exact)))
+            scaled *= 10 if scaled < 10**16 else Fraction(1, 10) if scaled >= 10**17 else 1
+            return abs(scaled - math.floor(scaled) - Fraction(1, 2)) <= Fraction(1, 10**6)
+
+        sent = []
+        monkeypatch.setattr(cvcluster.io, "format", lambda x, spec: sent.append(x) or format(x, spec),
+                            raising=False)
+        values = [v for k in range(-279, 280) for v in near(float(f"1e{k}"))]
+        values += np.random.default_rng(4).normal(size=1000).tolist() + [1e153, 1e-280, 1e280]
+        values += [0.0, -0.0, 5e-324, 1e-281, 1e281, -1.7976931348623157e308, 100000000000000.125]
+        _format_floats(np.array(values))
+        assert sent == [v for v in values if not 1e-280 <= abs(v) <= 1e280 or near_tie(v)]
+        assert len(sent) > 7  # the ties among the neighbours of powers of ten as well
 
 
 class TestCsv:
@@ -129,6 +192,16 @@ class TestCsvEncoder:
             assert_same_text(text, reference_csv(dataset))
             path = write_dataset(dataset, tmp_path / "d.csv", "csv")
             assert_same_text(path.read_bytes(), text.encode())
+
+    def test_vectorized_formatting_matches_per_float_encoder(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(1500, 3)) * 10.0 ** rng.integers(-30, 30, size=(1500, 3))
+        values[::7, 0] = rng.choice(SPECIAL_FLOATS, size=len(values[::7]))
+        values[::5, 2] = np.round(values[::5, 2], 3)
+        assert len(np.unique(values)) > 2 * _FORMAT_ROWS
+        dataset = CurveDataset(tag="t", columns=("a", "b", "c"), values=values)
+        path = write_dataset(dataset, tmp_path / "d.csv", "csv", {"k": 2})
+        assert_same_text(path.read_bytes(), reference_csv(dataset, {"k": 2}).encode())
 
     def test_empty_dataset(self):
         dataset = CurveDataset(tag="t", columns=("a", "b"), values=np.empty((0, 2)))
@@ -301,6 +374,25 @@ class TestWritingAhead:
             thread.join(timeout=30)
         assert not thread.is_alive()
         assert len(list(tmp_path.glob("*.csv"))) == 6
+
+    def test_fork_warning_writes_in_process(self, tmp_path, monkeypatch):
+        # Python >= 3.12 under -W error raises this from os.fork while other threads run
+        def fork_warns():
+            raise DeprecationWarning("This process is multi-threaded, use of fork() may lead "
+                                     "to deadlocks in the child.")
+
+        def figures(directory):
+            directory.mkdir()
+            monkeypatch.chdir(directory)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli_main(["figures", "--grid", "41", "--out", "figs"]) == 0
+            return {path.name: path.read_bytes() for path in (directory / "figs").iterdir()}
+
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 3)
+        forked = figures(tmp_path / "forked")
+        monkeypatch.setattr(os, "fork", fork_warns)
+        assert figures(tmp_path / "warned") == forked
+        assert_no_children()
 
     def test_failed_fork_writes_in_process(self, tmp_path, monkeypatch):
         def fork_fails():
