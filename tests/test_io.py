@@ -91,9 +91,12 @@ class TestFormatFloats:
             scaled *= 10 if scaled < 10**16 else Fraction(1, 10) if scaled >= 10**17 else 1
             return abs(scaled - math.floor(scaled) - Fraction(1, 2)) <= Fraction(1, 10**6)
 
+        def spy(value, spec):
+            sent.append(value)
+            return format(value, spec)
+
         sent = []
-        monkeypatch.setattr(cvcluster.io, "format", lambda x, spec: sent.append(x) or format(x, spec),
-                            raising=False)
+        monkeypatch.setattr(cvcluster.io, "format", spy, raising=False)
         values = [v for k in range(-279, 280) for v in near(float(f"1e{k}"))]
         values += np.random.default_rng(4).normal(size=1000).tolist() + [1e153, 1e-280, 1e280]
         values += [0.0, -0.0, 5e-324, 1e-281, 1e281, -1.7976931348623157e308, 100000000000000.125]
