@@ -6,16 +6,18 @@ as JSON, then a header row and one data row per sample. Floats are written
 with 17 significant digits so files round-trip exactly and repeated runs
 are byte-identical.
 
-CSV rows are encoded in bulk: each distinct float (by bit pattern, so
-``-0.0`` and ``0.0`` stay apart) is formatted once, and each block of
-``_CHUNK_ROWS`` rows is one flat join over those strings and the
-separators, so a large dataset never exists as one string on its way to disk.
+CSV rows are encoded in bulk, as bytes with ``\n`` line ends on every
+platform. Each distinct float (by bit pattern, so ``-0.0`` and ``0.0`` stay
+apart) gets one NUL-padded field of ``_FIELD`` bytes, whose last byte is its
+separator; a block of ``_CHUNK_ROWS`` rows is its cells' fields without the
+NULs, so a large dataset never exists as one string on its way to disk.
 
-:func:`_format_floats` gives exactly ``format(x, '.17g')`` from numpy passes
+:func:`_format_slice` writes exactly ``format(x, '.17g')`` from numpy passes
 of IEEE +, -, *, floor and integer operations only (Dekker's exact product,
-round half to even), so its bytes do not depend on numpy's SIMD targets. It
-leaves to ``format`` zeros, magnitudes outside [1e-280, 1e280], values within
-1e-6 of a rounding tie, and arrays shorter than ``_FORMAT_MIN``.
+round half to even), so its bytes do not depend on numpy's SIMD targets. One
+loop leaves to ``format`` zeros, magnitudes outside [1e-280, 1e280], values
+within 1e-6 of a rounding tie, and datasets of fewer than ``_FORMAT_MIN``
+distinct floats.
 
 numpy is imported by the dataset constructor and the CSV encoder
 themselves, so importing this module and :func:`format_float` cost no numpy
@@ -39,9 +41,12 @@ if TYPE_CHECKING:
 
 _CHUNK_ROWS = 4096
 _FLOAT_SPEC = ".17g"
-#: _format_floats' slice length (4096 raised peak RSS by ~2 MB) and shortest array, the
+#: _format_slice's length (4096 raised peak RSS by ~2 MB) and fewest distinct floats, the
 #: exponents of _format_tables (10**(16 - e) splits finitely), and Dekker's splitter
 _FORMAT_ROWS, _FORMAT_MIN, _EXP_MAX, _SPLIT = 1024, 300, 284, 2.0**27 + 1
+#: bytes per float: every '.17g' text is shorter, so the last byte is free for the separator;
+#: the longest have 24 bytes, such as -4.9406564584124654e-324
+_FIELD = 32
 #: path -> pipe on which a child of _writing_ahead reports that file written
 _AHEAD: dict[str, int] = {}
 
@@ -109,15 +114,8 @@ def _format_tables() -> tuple[np.ndarray, ...]:
             np.stack(cells).astype(np.uint8).reshape(3, 18 * 18, 20))
 
 
-def _format_floats(values: np.ndarray) -> list[str]:
-    """``format(x, '.17g')`` for each float of a 1-d array; see the module docstring."""
-    if len(values) < _FORMAT_MIN:
-        return list(map(float.__format__, values.tolist(), itertools.repeat(_FLOAT_SPEC)))
-    slices = (values[i:i + _FORMAT_ROWS] for i in range(0, len(values), _FORMAT_ROWS))
-    return list(itertools.chain.from_iterable(map(_format_slice, slices)))
-
-
-def _format_slice(x: np.ndarray) -> list[str]:
+def _format_slice(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each float's ``.17g`` text into its row of ``out``; return where it is exact."""
     import numpy as np
 
     powers, layout, quads, ends, cells = _format_tables()
@@ -148,27 +146,21 @@ def _format_slice(x: np.ndarray) -> list[str]:
                        affixes[:, 11])
     pattern = shown.astype(np.intp) * 18 + affixes[:, 10]
     digit, previous, dot = (m.take(pattern, axis=0).ravel() for m in cells)
-    text = np.hstack([((x < 0) * np.uint8(ord("-")))[:, None], affixes[:, :5],
-                      (chars[1:] * digit + chars[:-1] * previous + dot).reshape(-1, 20),
-                      affixes[:, 5:10], np.full((len(x), 1), ord(" "), np.uint8)])
-    strings = text.tobytes().translate(None, b"\0").decode().split()  # NUL marks no byte
-    for i in np.flatnonzero(~exact).tolist():
-        strings[i] = format(x[i].item(), _FLOAT_SPEC)
-    return strings
+    out[:, 0] = (x < 0) * np.uint8(ord("-"))  # NUL marks no byte
+    out[:, 1:6] = affixes[:, :5]
+    out[:, 6:26] = (chars[1:] * digit + chars[:-1] * previous + dot).reshape(-1, 20)
+    out[:, 26:31] = affixes[:, 5:10]
+    return exact
 
 
 def _header_config(dataset: CurveDataset, config: dict | None) -> dict:
-    merged = dict(dataset.meta)
-    if config:
-        merged.update(config)
-    merged["tag"] = dataset.tag
-    return merged
+    return {**dataset.meta, **(config or {}), "tag": dataset.tag}
 
 
-def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[str]:
-    """The CSV text in pieces: the two header lines, then blocks of rows.
+def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[bytes]:
+    """The CSV bytes in pieces: the two header lines, then blocks of rows.
 
-    The header and the table of formatted floats are built before this
+    The header and the fields of the distinct floats are built before this
     returns, so an encoding error surfaces before any file is opened.
     """
     import numpy as np
@@ -177,24 +169,30 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[str]:
               + ",".join(dataset.columns) + "\n")
     values = dataset.values
     bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
-    strings = _format_floats(bits.view(float))
-    strings += ",", "\n"
-    table = np.array(strings, dtype=object)
+    floats = bits.view(float)
+    fields = np.zeros((len(floats), _FIELD), np.uint8)
+    inexact = np.ones(len(floats), bool)
+    if len(floats) >= _FORMAT_MIN:
+        for i in range(0, len(floats), _FORMAT_ROWS):
+            rows = slice(i, i + _FORMAT_ROWS)
+            inexact[rows] = ~_format_slice(floats[rows], fields[rows])
+    fallback = b"".join(format(x, _FLOAT_SPEC).encode().ljust(_FIELD, b"\0")
+                        for x in floats[inexact].tolist())
+    fields[inexact] = np.frombuffer(fallback, np.uint8).reshape(-1, _FIELD)
+    fields[:, -1] = ord(",")
     cells = inverse.reshape(values.shape)
-    index = np.full((min(len(cells), _CHUNK_ROWS), 2 * cells.shape[1]), len(bits))
-    index[:, -1] = len(bits) + 1
 
-    def blocks() -> Iterator[str]:
+    def blocks() -> Iterator[bytes]:
         for start in range(0, len(cells), _CHUNK_ROWS):
-            block = cells[start:start + _CHUNK_ROWS]
-            index[:len(block), ::2] = block
-            yield "".join(table[index[:len(block)]].ravel().tolist())
+            block = fields.take(cells[start:start + _CHUNK_ROWS], axis=0)
+            block[:, -1, -1] = ord("\n")
+            yield block.tobytes().translate(None, b"\0")
 
-    return itertools.chain((header,), blocks())
+    return itertools.chain((header.encode(),), blocks())
 
 
 def dataset_to_csv(dataset: CurveDataset, config: dict | None = None) -> str:
-    return "".join(_csv_blocks(dataset, config))
+    return b"".join(_csv_blocks(dataset, config)).decode()
 
 
 def dataset_to_json(dataset: CurveDataset, config: dict | None = None) -> str:
@@ -220,15 +218,14 @@ def write_dataset(
             if pipe.read(1):
                 return Path(path)
     if fmt == "csv":
-        blocks: Iterable[str] = _csv_blocks(dataset, config)
+        blocks: Iterable[bytes] = _csv_blocks(dataset, config)
     elif fmt == "json":
-        blocks = (dataset_to_json(dataset, config),)
+        blocks = (dataset_to_json(dataset, config).encode(),)
     else:
         raise ValueError("fmt must be 'csv' or 'json'")
-    target = Path(path)
-    with target.open("w", encoding="utf-8") as handle:
+    with open(path, "wb") as handle:
         handle.writelines(blocks)
-    return target
+    return Path(path)
 
 
 def _cpus() -> int:
@@ -255,6 +252,8 @@ def _writing_ahead(jobs: Sequence[tuple[CurveDataset, Path]], fmt: str,
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     workers = min(len(jobs), _cpus()) if forkable else 1
     largest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].values.size)
+    if fmt == "csv" and workers > 1:
+        _format_tables()  # built once here, not once in each process
     children = []
     try:
         for share in (sorted(largest_first[w::workers]) for w in range(1, workers)):

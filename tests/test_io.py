@@ -21,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 import cvcluster.io
 from cvcluster import CurveDataset, format_float, write_dataset
 from cvcluster.cli import main as cli_main
-from cvcluster.io import (_CHUNK_ROWS, _FORMAT_MIN, _FORMAT_ROWS, _format_floats, _format_slice,
+from cvcluster.io import (_CHUNK_ROWS, _FIELD, _FORMAT_MIN, _FORMAT_ROWS, _format_slice,
                           _header_config, _writing_ahead, dataset_to_csv, dataset_to_json)
 
 
@@ -43,14 +43,25 @@ class TestFormatting:
         assert format_float(0.0) == "0"
 
 
+def one_column_csv(values):
+    """The CSV data rows of a one-column dataset of ``values``, one string each."""
+    dataset = CurveDataset(tag="t", columns=("v",), values=np.asarray(values)[:, None])
+    return dataset_to_csv(dataset).split("\n")[2:-1]
+
+
 def assert_formats_like_format(values):
-    """_format_floats, and its numpy pass at any length, give format(x, '.17g')."""
+    """The CSV encoder, and its numpy pass on slices of any length, give format(x, '.17g')."""
     values = np.asarray(values, dtype=float)
     want = [format(x, ".17g") for x in values.tolist()]
-    assert _format_floats(values) == want
+    assert one_column_csv(values) == want
     for size in (1, 7, _FORMAT_MIN - 1, _FORMAT_ROWS):
-        head = values[:200 * size]  # slices below _FORMAT_MIN go to format() in _format_floats
-        got = [s for i in range(0, len(head), size) for s in _format_slice(head[i:i + size])]
+        head = values[:200 * size]  # the encoder leaves datasets below _FORMAT_MIN to format()
+        fields = np.zeros((len(head), _FIELD), np.uint8)
+        exact = np.concatenate([_format_slice(head[i:i + size], fields[i:i + size])
+                                for i in range(0, len(head), size)])
+        # as the encoder does, rows not written exactly go to format()
+        got = [row.tobytes().replace(b"\0", b"").decode() if ok else format(x, ".17g")
+               for row, ok, x in zip(fields, exact.tolist(), head.tolist())]
         assert got == want[:len(head)], next((g, w) for g, w in zip(got, want) if g != w)
 
 
@@ -100,9 +111,15 @@ class TestFormatFloats:
         values = [v for k in range(-279, 280) for v in near(float(f"1e{k}"))]
         values += np.random.default_rng(4).normal(size=1000).tolist() + [1e153, 1e-280, 1e280]
         values += [0.0, -0.0, 5e-324, 1e-281, 1e281, -1.7976931348623157e308, 100000000000000.125]
-        _format_floats(np.array(values))
-        assert sent == [v for v in values if not 1e-280 <= abs(v) <= 1e280 or near_tie(v)]
+        one_column_csv(values)
+        # each distinct float once, in the order of its bit pattern
+        assert sorted(map(float.hex, sent)) == sorted(
+            {v.hex() for v in values if not 1e-280 <= abs(v) <= 1e280 or near_tie(v)})
         assert len(sent) > 7  # the ties among the neighbours of powers of ten as well
+        sent.clear()
+        few = values[:_FORMAT_MIN - 1] * 2
+        one_column_csv(few)  # every float of a dataset below _FORMAT_MIN
+        assert sorted(map(float.hex, sent)) == sorted(set(map(float.hex, few)))
 
 
 class TestCsv:
@@ -228,10 +245,11 @@ class TestJson:
 
 class TestWriteDataset:
     def test_csv_and_json(self, dataset, tmp_path):
-        for fmt in ("csv", "json"):
-            path = write_dataset(dataset, tmp_path / f"d.{fmt}", fmt)
+        for fmt, encode in (("csv", dataset_to_csv), ("json", dataset_to_json)):
+            path = write_dataset(dataset, tmp_path / f"d.{fmt}", fmt, {"k": 1})
             assert path.exists()
             assert path.read_text().strip()
+            assert path.read_bytes() == encode(dataset, {"k": 1}).encode()
 
     def test_bad_format(self, dataset, tmp_path):
         with pytest.raises(ValueError):
@@ -355,6 +373,26 @@ class TestWritingAhead:
         assert_no_children()
         assert len(forks) == 2
         assert cvcluster.io._AHEAD == {}
+
+    @pytest.mark.parametrize("fmt,built", [("csv", 1), ("json", 0)])
+    def test_format_tables_built_once_before_the_first_fork(self, tmp_path, monkeypatch, fmt,
+                                                             built):
+        # a child would otherwise build its own copy of the tables
+        real_fork = os.fork
+        at_fork = []
+
+        def fork():
+            at_fork.append(cvcluster.io._format_tables.cache_info().currsize)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 2)
+        cvcluster.io._format_tables.cache_clear()
+        jobs = many_jobs(tmp_path, fmt)
+        with _writing_ahead(jobs, fmt, None):
+            assert cvcluster.io._format_tables.cache_info().currsize == built
+        assert_no_children()
+        assert at_fork == [built]
 
     def test_no_fork_on_one_cpu_or_one_job(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "fork", refuse_fork)
