@@ -77,6 +77,11 @@ CASES = [
          "--grid", "11", "--out", "scan.csv"),
     case("squeeze-scan-json", "squeeze", "--r", "2", "--tan-theta", "-1", "--scan-phi",
          "--grid", "11", "--out", "scan.json", "--format", "json"),
+    # the default grid: 2001 points, enough for the numpy float formatter
+    case("squeeze-scan-default-grid-csv", "squeeze", "--r", "1.5", "--tan-theta", "2",
+         "--scan-phi", "--out", "scan.csv"),
+    case("squeeze-scan-default-grid-json", "squeeze", "--r", "0.5", "--theta", "-0.3",
+         "--vx", "2", "--vy", "0.5", "--scan-phi", "--out", "scan.json", "--format", "json"),
     *(case(f"squeeze-out-{fmt}", "squeeze", "--r", "1", "--tan-theta", "-0.5",
            "--vx", "2", "--vy", "0.5", "--out", f"s.{ext}", "--format", fmt)
       for fmt, ext in CSV_JSON),
