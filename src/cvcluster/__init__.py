@@ -39,7 +39,7 @@ _EXPORTS = {
         "displacement_output_variance", "fidelity_from_variances", "identity_fidelity",
         "min_distinguishable_displacement", "mode_moments", "optimal_detection_angle",
         "optimal_displacement_variance", "optimal_gain", "rotated_output_variance",
-        "squeezer_gate", "squeezing_threshold",
+        "rotated_output_variances", "squeezer_gate", "squeezing_threshold",
     ),
     "io": ("CurveDataset", "dataset_to_csv", "dataset_to_json", "format_float",
            "write_dataset"),

@@ -31,7 +31,7 @@ from .gates import (
     cx_output_moments,
     identity_fidelity,
     min_distinguishable_displacement,
-    rotated_output_variance,
+    rotated_output_variances,
 )
 from .io import CurveDataset
 
@@ -132,12 +132,11 @@ def _phi_curves(
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError(f"{key} must be non-empty")
-    curves = [curve(v) for v in vals]
-    tail = [1.0] * snl
-    rows = [[phi] + [rotated_output_variance(p, r, phi) for p, r in curves] + tail
-            for phi in phis]
+    grid, params = phis.tolist(), [curve(v) for v in vals]
+    curves = [rotated_output_variances(p, r, grid) for p, r in params]
     names = [f"{column}_{_label(v)}" for v in vals] + ["snl"] * snl
-    return CurveDataset(tag=tag, columns=("phi", *names), values=np.array(rows),
+    return CurveDataset(tag=tag, columns=("phi", *names),
+                        values=np.column_stack([phis, *curves] + [np.ones_like(phis)] * snl),
                         meta={**meta, key: vals, "input": "coherent"})
 
 
@@ -219,6 +218,8 @@ def fig8_dataset(
     rs = [float(r) for r in r_values]
     if not rs:
         raise ValueError("r_values must be non-empty")
+    if len({_label(r) for r in rs}) < len(rs):
+        raise ValueError("r_values must differ in their panel labels (format 'g')")
     common = {"caption_reading": caption_reading, "s_c": s_c, "s_t": s_t}
     panels: dict[str, CurveDataset] = {}
     for name, mean in (("input_control", s_c), ("input_target", s_t)):

@@ -51,6 +51,7 @@ from .gates import (
     min_distinguishable_displacement,
     optimal_detection_angle,
     rotated_output_variance,
+    rotated_output_variances,
     squeezer_gate,
     squeezing_threshold,
 )
@@ -454,15 +455,17 @@ def cmd_squeeze(cfg: dict) -> int:
         after["v_at_phi"] = rotated_output_variance(params, r, cfg["phi"])
     scan = None
     if cfg["scan_phi"]:
+        import numpy as np
+
         step = math.pi / (cfg["grid"] - 1)
         phis = [i * step for i in range(cfg["grid"] - 1)] + [math.pi]
-        vs = [rotated_output_variance(params, r, phi) for phi in phis]
+        vs = rotated_output_variances(params, r, phis)
         best = min(range(len(vs)), key=vs.__getitem__)
         after["scan_min_v"] = vs[best]
         after["scan_min_phi"] = phis[best]
         after["scan_max_v"] = max(vs)
         scan = CurveDataset(tag="squeeze_scan", columns=("phi", "v"),
-                            values=list(zip(phis, vs)))
+                            values=np.column_stack((phis, vs)))
     return _run_gate("squeeze", cfg, result, after,
                      row=(("r", "theta", "tan_theta"), ()), extra=extra, dataset=scan)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .algebra import ModePair, _check_r, beamsplitter, input_mode, rotate_quadrature
 from .cluster import ClusterState, build_cluster
@@ -314,15 +314,18 @@ def rotated_output_variance(params: SqueezerParams, r: float, phi: float) -> flo
     ``3 e^{-2r} + cos^2(phi) var_x + (2 tan(theta) cos(phi) + sin(phi))^2
     var_y``; pi-periodic in phi.
     """
+    return rotated_output_variances(params, r, (phi,))[0]
+
+
+def rotated_output_variances(params: SqueezerParams, r: float,
+                             phis: Iterable[float]) -> list[float]:
+    """:func:`rotated_output_variance` at each phi, with r checked and the
+    phi-free terms computed once."""
     _check_r(r)
-    t = params.tan_theta
-    c = math.cos(phi)
-    s = math.sin(phi)
-    return (
-        3.0 * math.exp(-2.0 * r)
-        + c * c * params.var_x
-        + (2.0 * t * c + s) ** 2 * params.var_y
-    )
+    noise, t2 = 3.0 * math.exp(-2.0 * r), 2.0 * params.tan_theta
+    vx, vy = params.var_x, params.var_y
+    return [noise + c * c * vx + (t2 * c + s) ** 2 * vy
+            for c, s in ((math.cos(phi), math.sin(phi)) for phi in phis)]
 
 
 def _phi_noise(phi: float, tan_theta: float) -> float:

@@ -7,17 +7,19 @@ with 17 significant digits so files round-trip exactly and repeated runs
 are byte-identical.
 
 CSV rows are encoded in bulk, as bytes with ``\n`` line ends on every
-platform. Each distinct float (by bit pattern, so ``-0.0`` and ``0.0`` stay
-apart) gets one NUL-padded field of ``_FIELD`` bytes, whose last byte is its
-separator; a block of ``_CHUNK_ROWS`` rows is its cells' fields without the
-NULs, so a large dataset never exists as one string on its way to disk.
+platform. Each column's distinct floats (by bit pattern, so ``-0.0`` and
+``0.0`` stay apart) get one NUL-padded field of ``_FIELD`` bytes each, whose
+last byte is its separator; a dataset of fewer than ``_FORMAT_MIN`` cells
+skips that dedup and gives every cell a field. A block of ``_CHUNK_ROWS``
+rows is its cells' fields without the NULs, so a large dataset never exists
+as one string on its way to disk.
 
 :func:`_format_slice` writes exactly ``format(x, '.17g')`` from numpy passes
-of IEEE +, -, *, floor and integer operations only (Dekker's exact product,
-round half to even), so its bytes do not depend on numpy's SIMD targets. One
-loop leaves to ``format`` zeros, magnitudes outside [1e-280, 1e280], values
-within 1e-6 of a rounding tie, and datasets of fewer than ``_FORMAT_MIN``
-distinct floats.
+over ``_CHUNK_ROWS`` floats at a time, with IEEE +, -, *, floor and integer
+operations only (Dekker's exact product, round half to even), so its bytes
+do not depend on numpy's SIMD targets. One loop leaves to ``format`` zeros,
+magnitudes outside [1e-280, 1e280], values within 1e-6 of a rounding tie,
+and every field of a dataset with fewer than ``_FORMAT_MIN`` of them.
 
 numpy is imported by the dataset constructor and the CSV encoder
 themselves, so importing this module and :func:`format_float` cost no numpy
@@ -41,9 +43,9 @@ if TYPE_CHECKING:
 
 _CHUNK_ROWS = 4096
 _FLOAT_SPEC = ".17g"
-#: _format_slice's length (4096 raised peak RSS by ~2 MB) and fewest distinct floats, the
-#: exponents of _format_tables (10**(16 - e) splits finitely), and Dekker's splitter
-_FORMAT_ROWS, _FORMAT_MIN, _EXP_MAX, _SPLIT = 1024, 300, 284, 2.0**27 + 1
+#: the fewest cells to dedup and distinct floats to format in numpy, the exponents of
+#: _format_tables (10**(16 - e) splits finitely), and Dekker's splitter
+_FORMAT_MIN, _EXP_MAX, _SPLIT = 300, 284, 2.0**27 + 1
 #: bytes per float: every '.17g' text is shorter, so the last byte is free for the separator;
 #: the longest have 24 bytes, such as -4.9406564584124654e-324
 _FIELD = 32
@@ -70,6 +72,8 @@ class CurveDataset:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 2 or not 0 < len(self.columns) == arr.shape[1]:
             raise ValueError("values need one column per name, and at least one column")
+        if len(set(self.columns)) < len(self.columns):
+            raise ValueError("column names must differ")
         if not np.all(np.isfinite(arr)):
             raise ValueError("dataset contains non-finite entries")
         object.__setattr__(self, "values", arr)
@@ -168,19 +172,25 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[bytes]:
     header = ("# " + json.dumps(_header_config(dataset, config), sort_keys=True) + "\n"
               + ",".join(dataset.columns) + "\n")
     values = dataset.values
-    bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
-    floats = bits.view(float)
+    if values.size < _FORMAT_MIN:  # every cell its own field, all from format()
+        floats, cells = values.ravel(), np.arange(values.size).reshape(values.shape)
+    else:  # each column's distinct floats (by bit pattern) once, in one table
+        parts, cells = [], np.empty(values.shape, np.intp)
+        for j, column in enumerate(values.T):
+            part, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+            cells[:, j] = inverse + sum(map(len, parts))
+            parts.append(part)
+        floats = np.concatenate(parts).view(float)
     fields = np.zeros((len(floats), _FIELD), np.uint8)
     inexact = np.ones(len(floats), bool)
     if len(floats) >= _FORMAT_MIN:
-        for i in range(0, len(floats), _FORMAT_ROWS):
-            rows = slice(i, i + _FORMAT_ROWS)
+        for i in range(0, len(floats), _CHUNK_ROWS):
+            rows = slice(i, i + _CHUNK_ROWS)
             inexact[rows] = ~_format_slice(floats[rows], fields[rows])
     fallback = b"".join(format(x, _FLOAT_SPEC).encode().ljust(_FIELD, b"\0")
                         for x in floats[inexact].tolist())
     fields[inexact] = np.frombuffer(fallback, np.uint8).reshape(-1, _FIELD)
     fields[:, -1] = ord(",")
-    cells = inverse.reshape(values.shape)
 
     def blocks() -> Iterator[bytes]:
         for start in range(0, len(cells), _CHUNK_ROWS):

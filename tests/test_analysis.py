@@ -255,6 +255,12 @@ class TestFig8:
         with pytest.raises(ValueError):
             fig8_dataset(r_values=())
 
+    @pytest.mark.parametrize("r_values", [(1.0, 1.0000001), (3.0, 1.0, 3.0)])
+    def test_r_values_with_one_label_rejected(self, r_values):
+        # both would name their panels output_*_r1 (or _r3), and one would be lost
+        with pytest.raises(ValueError, match="label"):
+            fig8_dataset(r_values=r_values, grid_points=3)
+
 
 class TestCurveDataset:
     def test_analysis_reexports_the_io_class(self):
@@ -268,6 +274,17 @@ class TestCurveDataset:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             CurveDataset(tag="t", columns=("a", "b"), values=np.zeros((3, 3)), meta={})
+
+    def test_duplicate_column_names_rejected(self):
+        with pytest.raises(ValueError, match="column names"):
+            CurveDataset(tag="t", columns=("a", "b", "a"), values=np.zeros((2, 3)))
+
+    def test_phi_curves_with_one_label_rejected(self):
+        phis = np.linspace(0.0, math.pi, 5)
+        with pytest.raises(ValueError, match="column names"):
+            fig6_dataset(phis, r_values=(0.3, 0.3000001))
+        with pytest.raises(ValueError, match="column names"):
+            fig5_dataset(phis, tan_thetas=(2.0, 2.0))
 
     def test_non_finite_rejected(self):
         bad = np.array([[1.0, math.nan]])

@@ -12,6 +12,7 @@ from cvcluster import (
     optimal_detection_angle,
     rotate_quadrature,
     rotated_output_variance,
+    rotated_output_variances,
     squeezer_gate,
     squeezing_threshold,
 )
@@ -113,6 +114,40 @@ class TestRotatedVariance:
         ]
         assert max(values) - min(values) < 1e-12
         assert values[0] == pytest.approx(3.0 * math.exp(-2.0 * r) + 1.0, abs=1e-12)
+
+
+def scalar_rotated_variance(params, r, phi):
+    """The closed form as one scalar expression, in the library's operation order."""
+    t = params.tan_theta
+    c = math.cos(phi)
+    s = math.sin(phi)
+    return 3.0 * math.exp(-2.0 * r) + c * c * params.var_x + (2.0 * t * c + s) ** 2 * params.var_y
+
+
+#: The fig5/fig6 grid, and the squeeze --scan-phi grid at its default 2001 points.
+PHI_GRIDS = {"fig5": np.linspace(0.0, math.pi, 501).tolist(),
+             "scan": [i * (math.pi / 2000) for i in range(2000)] + [math.pi]}
+
+
+class TestRotatedVariances:
+    @pytest.mark.parametrize("grid", PHI_GRIDS)
+    @pytest.mark.parametrize("tan_theta", [-5.0, -0.5, 0.0, 1.0, 2.0, 1e6])
+    @pytest.mark.parametrize("r", [0.0, 0.55, 2.0, 50.0])
+    @pytest.mark.parametrize("vx, vy", [(1.0, 1.0), (2.0, 0.5), (0.3, 7.25)])
+    def test_bitwise_equal_to_one_phi_at_a_time(self, grid, tan_theta, r, vx, vy):
+        params = SqueezerParams.from_tan(tan_theta, var_x=vx, var_y=vy)
+        phis = PHI_GRIDS[grid]
+        got = [v.hex() for v in rotated_output_variances(params, r, phis)]
+        assert got == [rotated_output_variance(params, r, phi).hex() for phi in phis]
+        assert got == [scalar_rotated_variance(params, r, phi).hex() for phi in phis]
+
+    def test_no_phi(self):
+        assert rotated_output_variances(SqueezerParams.from_tan(2.0), 1.0, []) == []
+
+    @pytest.mark.parametrize("phis", [[], [0.0, 1.0]])
+    def test_negative_r_raises(self, phis):
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            rotated_output_variances(SqueezerParams.from_tan(2.0), -0.1, phis)
 
 
 class TestOptimalAngle:

@@ -21,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 import cvcluster.io
 from cvcluster import CurveDataset, format_float, write_dataset
 from cvcluster.cli import main as cli_main
-from cvcluster.io import (_CHUNK_ROWS, _FIELD, _FORMAT_MIN, _FORMAT_ROWS, _format_slice,
+from cvcluster.io import (_CHUNK_ROWS, _FIELD, _FORMAT_MIN, _format_slice,
                           _header_config, _writing_ahead, dataset_to_csv, dataset_to_json)
 
 
@@ -54,7 +54,7 @@ def assert_formats_like_format(values):
     values = np.asarray(values, dtype=float)
     want = [format(x, ".17g") for x in values.tolist()]
     assert one_column_csv(values) == want
-    for size in (1, 7, _FORMAT_MIN - 1, _FORMAT_ROWS):
+    for size in (1, 7, _FORMAT_MIN - 1, _CHUNK_ROWS):
         head = values[:200 * size]  # the encoder leaves datasets below _FORMAT_MIN to format()
         fields = np.zeros((len(head), _FIELD), np.uint8)
         exact = np.concatenate([_format_slice(head[i:i + size], fields[i:i + size])
@@ -193,13 +193,16 @@ class TestCsvEncoder:
     @example(np.array([[-0.0], [0.0], [-0.0], [-0.0]]))
     @example(np.arange(24.0).reshape(4, 6)[:, 1::2])
     def test_matches_per_float_encoder(self, values):
-        dataset = CurveDataset(tag="t", columns=tuple(f"c{i}" for i in range(values.shape[1])),
-                               values=values, meta={"m": 1})
-        text = dataset_to_csv(dataset, {"k": 2})
-        assert_same_text(text, reference_csv(dataset, {"k": 2}))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = write_dataset(dataset, Path(tmp) / "d.csv", "csv", {"k": 2})
-            assert_same_text(path.read_bytes(), text.encode())
+        columns = tuple(f"c{i}" for i in range(values.shape[1]))
+        # below _FORMAT_MIN cells as drawn; tiled to more, the same floats are deduped
+        tiled = np.tile(values, (-(-_FORMAT_MIN // values.size), 1))
+        for dataset in (CurveDataset(tag="t", columns=columns, values=v, meta={"m": 1})
+                        for v in (values, tiled)):
+            text = dataset_to_csv(dataset, {"k": 2})
+            assert_same_text(text, reference_csv(dataset, {"k": 2}))
+            with tempfile.TemporaryDirectory() as tmp:
+                path = write_dataset(dataset, Path(tmp) / "d.csv", "csv", {"k": 2})
+                assert_same_text(path.read_bytes(), text.encode())
 
     def test_blocks_join_seamlessly(self, tmp_path):
         # with one column every separator is a newline, so the seams differ
@@ -215,13 +218,53 @@ class TestCsvEncoder:
 
     def test_vectorized_formatting_matches_per_float_encoder(self, tmp_path):
         rng = np.random.default_rng(3)
-        values = rng.normal(size=(1500, 3)) * 10.0 ** rng.integers(-30, 30, size=(1500, 3))
+        values = rng.normal(size=(3500, 3)) * 10.0 ** rng.integers(-30, 30, size=(3500, 3))
         values[::7, 0] = rng.choice(SPECIAL_FLOATS, size=len(values[::7]))
         values[::5, 2] = np.round(values[::5, 2], 3)
-        assert len(np.unique(values)) > 2 * _FORMAT_ROWS
+        assert len(np.unique(values)) > 2 * _CHUNK_ROWS
         dataset = CurveDataset(tag="t", columns=("a", "b", "c"), values=values)
         path = write_dataset(dataset, tmp_path / "d.csv", "csv", {"k": 2})
         assert_same_text(path.read_bytes(), reference_csv(dataset, {"k": 2}).encode())
+
+    @pytest.mark.parametrize("rows", [2, _FORMAT_MIN])  # below and above _FORMAT_MIN cells
+    def test_floats_shared_between_columns(self, rows):
+        values = np.random.default_rng(5).normal(size=(rows, 4))
+        values[:, 1] = values[::-1, 0]  # the floats of column a, in another order
+        values[::2, 2], values[::2, 3] = 0.0, -0.0
+        values[1::2, 2], values[1::2, 3] = -0.0, 0.0
+        dataset = CurveDataset(tag="t", columns=("a", "b", "c", "d"), values=values)
+        assert_same_text(dataset_to_csv(dataset), reference_csv(dataset))
+
+    @pytest.mark.parametrize("cells", [_FORMAT_MIN - 1, _FORMAT_MIN])
+    @pytest.mark.parametrize("one_row", [False, True])
+    def test_datasets_around_format_min_cells(self, cells, one_row, monkeypatch):
+        formatted = []
+
+        def spy(x, out):
+            formatted.append(len(x))
+            return _format_slice(x, out)
+
+        monkeypatch.setattr(cvcluster.io, "_format_slice", spy)
+        values = np.random.default_rng(6).normal(size=cells)
+        values[::9] = values[0]  # repeats are not deduped below _FORMAT_MIN cells
+        values = values[None, :] if one_row else values[:, None]
+        dataset = CurveDataset(tag="t", columns=tuple(f"c{i}" for i in range(values.shape[1])),
+                               values=values)
+        assert_same_text(dataset_to_csv(dataset), reference_csv(dataset))
+        # numpy formats a dataset of _FORMAT_MIN cells or more, if its columns hold as
+        # many distinct floats: here only the one-row dataset of _FORMAT_MIN columns
+        distinct = sum(len(np.unique(column)) for column in values.T)
+        assert sum(formatted) == (distinct if min(values.size, distinct) >= _FORMAT_MIN else 0)
+        assert (sum(formatted) > 0) == (cells == _FORMAT_MIN and one_row)
+
+    def test_many_cells_few_distinct_floats(self, monkeypatch):
+        monkeypatch.setattr(cvcluster.io, "_format_slice", None)  # never called
+        rng = np.random.default_rng(8)
+        values = rng.choice(rng.normal(size=60), size=(_FORMAT_MIN, 3))
+        values[::4, 1] = -0.0
+        assert sum(len(np.unique(column)) for column in values.T) < _FORMAT_MIN
+        dataset = CurveDataset(tag="t", columns=("a", "b", "c"), values=values)
+        assert_same_text(dataset_to_csv(dataset), reference_csv(dataset))
 
     def test_empty_dataset(self):
         dataset = CurveDataset(tag="t", columns=("a", "b"), values=np.empty((0, 2)))
