@@ -170,22 +170,62 @@ def _centered_grid(mean: float, var: float, points: int, span: float) -> np.ndar
 
 def _wigner_panel(
     name: str, moments: ModeStats, points: int, span: float, extra_meta: dict
-) -> CurveDataset:
+) -> Callable[[], CurveDataset]:
+    """The panel's builder, once its grids increase and its Wigner function stays finite."""
     x = _centered_grid(moments.mean_x, moments.var_x, points, span)
     y = _centered_grid(moments.mean_y, moments.var_y, points, span)
-    w = wigner(moments, x, y)
-    values = np.column_stack(
-        (np.repeat(x, y.size), np.tile(y, x.size), w.ravel())
-    )
+    for xs, ys in ((x, y[[0, -1]]), (x[[0, -1]], y)):  # whole axes; the form peaks at corners
+        wigner(moments, xs, ys)
     meta = {
         "panel": name,
         "mean": [float(moments.mean_x), float(moments.mean_y)],
         "var": [moments.var_x, moments.var_y],
         "grid_points": points,
         "span_sigmas": span,
+        **extra_meta,
     }
-    meta.update(extra_meta)
-    return CurveDataset(tag="fig8", columns=("x", "y", "w"), values=values, meta=meta)
+
+    def build() -> CurveDataset:
+        w = wigner(moments, x, y).ravel()
+        values = np.column_stack((np.repeat(x, y.size), np.tile(y, x.size), w))
+        return CurveDataset(tag="fig8", columns=("x", "y", "w"), values=values, meta=meta)
+
+    return build
+
+
+def _fig8_panels(
+    r_values: Iterable[float] = (1.0, 3.0), grid_points: int = 201, span: float = 5.0,
+    caption_reading: str = "stddev", s_c: float = 1.0, s_t: float = 2.0,
+) -> dict[str, Callable[[], CurveDataset]]:
+    """:func:`fig8_dataset`'s panels as builders, every panel checked before any is built."""
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
+    if span <= 0:
+        raise ValueError("span must be > 0")
+    if caption_reading == "stddev":
+        vx, vy = math.exp(-2.0), math.exp(2.0)
+    elif caption_reading == "variance":
+        vx, vy = math.exp(-1.0), math.exp(1.0)
+    else:
+        raise ValueError("caption_reading must be 'stddev' or 'variance'")
+    rs = [float(r) for r in r_values]
+    if not rs:
+        raise ValueError("r_values must be non-empty")
+    if len({_label(r) for r in rs}) < len(rs):
+        raise ValueError("r_values must differ in their panel labels (format 'g')")
+    common = {"caption_reading": caption_reading, "s_c": s_c, "s_t": s_t}
+    panels = {}
+    for name, mean in (("input_control", s_c), ("input_target", s_t)):
+        panels[name] = _wigner_panel(name, ModeStats(mean, 0.0, vx, vy, 0.0), grid_points,
+                                     span, common)
+    params = CxParams(s_c=s_c, s_t=s_t, var_cx=vx, var_cy=vy, var_tx=vx, var_ty=vy)
+    for r in rs:
+        moments = cx_output_moments(params, r)
+        for mode in ("control", "target"):
+            name = f"output_{mode}_r{_label(r)}"
+            panels[name] = _wigner_panel(name, moments[mode], grid_points, span,
+                                         dict(common, r=r))
+    return panels
 
 
 def fig8_dataset(
@@ -205,31 +245,5 @@ def fig8_dataset(
     panel per input plus control/target outputs at each r, every grid
     centered on its mean and spanning ``span`` standard deviations.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    if span <= 0:
-        raise ValueError("span must be > 0")
-    if caption_reading == "stddev":
-        vx, vy = math.exp(-2.0), math.exp(2.0)
-    elif caption_reading == "variance":
-        vx, vy = math.exp(-1.0), math.exp(1.0)
-    else:
-        raise ValueError("caption_reading must be 'stddev' or 'variance'")
-    rs = [float(r) for r in r_values]
-    if not rs:
-        raise ValueError("r_values must be non-empty")
-    if len({_label(r) for r in rs}) < len(rs):
-        raise ValueError("r_values must differ in their panel labels (format 'g')")
-    common = {"caption_reading": caption_reading, "s_c": s_c, "s_t": s_t}
-    panels: dict[str, CurveDataset] = {}
-    for name, mean in (("input_control", s_c), ("input_target", s_t)):
-        panels[name] = _wigner_panel(name, ModeStats(mean, 0.0, vx, vy, 0.0), grid_points,
-                                     span, dict(common))
-    params = CxParams(s_c=s_c, s_t=s_t, var_cx=vx, var_cy=vy, var_tx=vx, var_ty=vy)
-    for r in rs:
-        moments = cx_output_moments(params, r)
-        for mode in ("control", "target"):
-            name = f"output_{mode}_r{_label(r)}"
-            panels[name] = _wigner_panel(name, moments[mode], grid_points, span,
-                                         dict(common, r=r))
-    return panels
+    panels = _fig8_panels(r_values, grid_points, span, caption_reading, s_c, s_t)
+    return {name: build() for name, build in panels.items()}

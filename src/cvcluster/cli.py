@@ -482,31 +482,31 @@ def cmd_cx(cfg: dict) -> int:
 def cmd_figures(cfg: dict) -> int:
     import numpy as np
 
-    from .analysis import fig3_dataset, fig4_dataset, fig5_dataset, fig6_dataset, fig8_dataset
+    from .analysis import _fig8_panels, fig3_dataset, fig4_dataset, fig5_dataset, fig6_dataset
 
     if cfg["out"] is None:
         cfg["out"] = "figures"
     resolved = {"command": "figures", **cfg}
     out_dir = Path(cfg["out"])
     ext = cfg["format"]
-    datasets = {
-        "fig3": fig3_dataset(np.linspace(0.0, 2.0, 41), np.linspace(0.0, 2.0, 41)),
-        "fig4": fig4_dataset(np.linspace(0.0, 5.0, 100)),
-        "fig5": fig5_dataset(np.linspace(0.0, math.pi, 501)),
-        "fig6": fig6_dataset(np.linspace(0.0, math.pi, 501)),
+    builds = {
+        "fig3": lambda: fig3_dataset(np.linspace(0.0, 2.0, 41), np.linspace(0.0, 2.0, 41)),
+        "fig4": lambda: fig4_dataset(np.linspace(0.0, 5.0, 100)),
+        "fig5": lambda: fig5_dataset(np.linspace(0.0, math.pi, 501)),
+        "fig6": lambda: fig6_dataset(np.linspace(0.0, math.pi, 501)),
     }
-    for name, panel in fig8_dataset(grid_points=cfg["grid"], span=cfg["span"]).items():
-        datasets[f"fig8_{name}"] = panel
+    for name, build in _fig8_panels(grid_points=cfg["grid"], span=cfg["span"]).items():
+        builds[f"fig8_{name}"] = build
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO
-    jobs = [(dataset, out_dir / f"{name}.{ext}") for name, dataset in datasets.items()]
+    jobs = [(build, out_dir / f"{name}.{ext}") for name, build in builds.items()]
     try:
-        with _writing_ahead(jobs, ext, resolved):
-            for dataset, path in jobs:
-                write_dataset(dataset, path, ext, resolved)
+        with _writing_ahead(jobs, ext, resolved) as datasets:
+            for _, path in jobs:  # each dataset is dropped once written
+                write_dataset(next(datasets), path, ext, resolved)
     except OSError as exc:
         print(f"error: cannot write datasets: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -225,9 +225,11 @@ def min_distinguishable_displacement(
 
 
 def fidelity_from_variances(var_x: float, var_y: float) -> float:
-    """Overlap fidelity of a unit-gain Gaussian channel for coherent inputs."""
+    """Coherent-input fidelity of a unit-gain Gaussian channel; needs var_x * var_y >= 1."""
     _check_variance("var_x", var_x)
     _check_variance("var_y", var_y)
+    if var_x * var_y < 1.0 - 1e-12:
+        raise ValueError("var_x * var_y must be >= 1 (the uncertainty relation)")
     return 2.0 / math.sqrt((1.0 + var_x) * (1.0 + var_y))
 
 

@@ -34,9 +34,10 @@ import itertools
 import json
 import os
 import threading
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -246,35 +247,39 @@ def _cpus() -> int:
 
 
 @contextlib.contextmanager
-def _writing_ahead(jobs: Sequence[tuple[CurveDataset, Path]], fmt: str,
-                   config: dict | None) -> Iterator[None]:
-    """Let forked children write some of the ``(dataset, path)`` jobs meanwhile.
+def _writing_ahead(jobs: Sequence[tuple[Callable[[], CurveDataset], Path]], fmt: str,
+                   config: dict | None) -> Iterator[Iterator[CurveDataset]]:
+    """Let forked children write some of the ``(build, path)`` jobs meanwhile.
 
-    The jobs go round-robin, largest first, to min(jobs, usable CPUs)
-    workers; :func:`write_dataset`, still called here for every job, waits
-    for a child's report on the file. Nothing is forked for one job or CPU,
-    without ``os.fork``, or while another Python thread is alive and could
-    hold a lock the child needs (native threads, such as numpy's BLAS pool,
-    are not counted). A fork that raises ``OSError``, or the
-    ``DeprecationWarning`` of Python >= 3.12 under ``-W error`` while such
-    threads run, leaves its jobs to this process.
+    The jobs go round-robin, in order, to min(jobs, usable CPUs) workers,
+    this process first. A child's share is built here before its fork; the
+    yielded iterator gives every dataset in order, building this process's
+    own on reaching them, so this process holds the shares plus one dataset.
+    :func:`write_dataset`, called here for every job, waits for a child's
+    report. Nothing is forked for one job or CPU, without ``os.fork``, or
+    while another Python thread could hold a lock the child needs (native
+    threads, such as numpy's BLAS pool, are not counted; Python >= 3.12's
+    warning of them is ignored). A fork raising ``OSError`` or
+    ``DeprecationWarning`` leaves its jobs to this process.
     """
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     workers = min(len(jobs), _cpus()) if forkable else 1
-    largest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].values.size)
     if fmt == "csv" and workers > 1:
         _format_tables()  # built once here, not once in each process
+    built: dict[int, CurveDataset] = {}
     children = []
     try:
-        for share in (sorted(largest_first[w::workers]) for w in range(1, workers)):
+        for share in (range(w, len(jobs), workers) for w in range(1, workers)):
+            built.update((i, jobs[i][0]()) for i in share)
             pipes = [os.pipe() for _ in share]
-            with contextlib.suppress(OSError, DeprecationWarning):  # unforked: written here
+            with contextlib.suppress(OSError, DeprecationWarning), warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)  # raised after the fork
                 children.append(os.fork())
             if children and children[-1] == 0:  # leaves through os._exit, flushing nothing
                 try:
                     for i, (_, write_fd) in zip(share, pipes):
                         with open(write_fd, "wb", 0) as report, contextlib.suppress(OSError):
-                            write_dataset(*jobs[i], fmt, config)
+                            write_dataset(built[i], jobs[i][1], fmt, config)
                             report.write(b"1")
                     os._exit(0)
                 finally:
@@ -282,7 +287,7 @@ def _writing_ahead(jobs: Sequence[tuple[CurveDataset, Path]], fmt: str,
             for i, (read_fd, write_fd) in zip(share, pipes):
                 os.close(write_fd)
                 _AHEAD[str(jobs[i][1])] = read_fd
-        yield
+        yield (built.pop(i) if i in built else build() for i, (build, _) in enumerate(jobs))
     finally:
         while _AHEAD:
             os.close(_AHEAD.popitem()[1])

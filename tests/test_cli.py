@@ -334,8 +334,14 @@ class TestMalformedInputs:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("span", ["1e300", "1.7e308"])
-    def test_overflowing_span(self, capsys, tmp_path, span):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("span,error", [
+        ("1e300", "error: inputs out of range: "), ("1.7e308", "error: inputs out of range: "),
+        ("4e-16", "error: x_grid must be strictly increasing"),  # only inner points repeat
+    ])
+    def test_span_out_of_range(self, capsys, tmp_path, monkeypatch, cpus, span, error):
+        # every panel is checked before the directory is made or any dataset built
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: cpus)
         target = tmp_path / "figs"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -343,7 +349,7 @@ class TestMalformedInputs:
                                  "--out", str(target))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: inputs out of range: ")
+        assert err.startswith(error)
         assert not target.exists()
 
     @pytest.mark.parametrize("argv,config,message", [

@@ -98,6 +98,15 @@ class TestFidelity:
         assert fidelity_from_variances(2.0, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert fidelity_from_variances(1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
 
+    def test_only_physical_variances(self):
+        # rounding can leave a pure state's product just below 1; 1e-12 relative slack passes it
+        assert fidelity_from_variances(math.exp(-2.0), math.exp(2.0)) == pytest.approx(
+            2.0 / math.sqrt((1.0 + math.exp(-2.0)) * (1.0 + math.exp(2.0))), rel=1e-12)
+        assert fidelity_from_variances(1.0 - 1e-13, 1.0) == pytest.approx(1.0, rel=1e-12)
+        for var_x, var_y in ((0.5, 0.5), (1.0 - 1e-11, 1.0), (0.25, 3.9)):
+            with pytest.raises(ValueError, match="uncertainty"):
+                fidelity_from_variances(var_x, var_y)
+
     def test_no_squeezing_endpoint(self):
         assert identity_fidelity(0.0) == pytest.approx(0.5, abs=1e-9)
 

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,8 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import cvcluster.cli
 import cvcluster.io
 from cvcluster import CurveDataset, format_float, write_dataset
+from cvcluster.analysis import fig8_dataset
 from cvcluster.cli import main as cli_main
 from cvcluster.io import (_CHUNK_ROWS, _FIELD, _FORMAT_MIN, _format_slice,
                           _header_config, _writing_ahead, dataset_to_csv, dataset_to_json)
@@ -306,11 +310,12 @@ class TestWriteDataset:
 
 
 def many_jobs(directory, fmt, rows=(1, 400, 30, 9, 5000, 30)):
-    """Datasets of the given row counts, in order, each with its own file."""
+    """(build, path) jobs of datasets of the given row counts, in order, each with its own file."""
     directory.mkdir(exist_ok=True)
     rng = np.random.default_rng(11)
-    return [(CurveDataset(tag=f"d{i}", columns=("a", "b", "c"), values=rng.normal(size=(n, 3))),
-             directory / f"d{i}.{fmt}") for i, n in enumerate(rows)]
+    datasets = [CurveDataset(tag=f"d{i}", columns=("a", "b", "c"), values=rng.normal(size=(n, 3)))
+                for i, n in enumerate(rows)]
+    return [(lambda d=d: d, directory / f"{d.tag}.{fmt}") for d in datasets]
 
 
 def write_all(jobs, fmt, config=None):
@@ -319,10 +324,11 @@ def write_all(jobs, fmt, config=None):
     Returns each file's bytes as read when its write_dataset call returned.
     """
     written = []
-    with _writing_ahead(jobs, fmt, config):
-        for dataset, path in jobs:
-            assert write_dataset(dataset, path, fmt, config) == path
+    with _writing_ahead(jobs, fmt, config) as datasets:
+        for _, path in jobs:
+            assert write_dataset(next(datasets), path, fmt, config) == path
             written.append(path.read_bytes())
+        assert next(datasets, None) is None
     assert cvcluster.io._AHEAD == {}
     return written
 
@@ -367,27 +373,27 @@ class TestWritingAhead:
         assert len(forks) == workers - 1
         # files a child reported are not encoded again here
         assert len(encoded) == -(-len(jobs) // workers)
-        for (dataset, path), data in zip(jobs, written):
-            alone = write_dataset(dataset, tmp_path / path.name, fmt, {"k": 1})
+        for (build, path), data in zip(jobs, written):
+            alone = write_dataset(build(), tmp_path / path.name, fmt, {"k": 1})
             assert data == path.read_bytes() == alone.read_bytes()
 
     @pytest.mark.parametrize("blocked,first", [({0, 1}, 0), ({1, 2}, 1), ({2, 3}, 2)])
     def test_earliest_failure_reported(self, tmp_path, monkeypatch, forks, blocked, first):
-        # on two CPUs, largest first, the child writes jobs 0, 2 and 4 and
-        # this process 1, 3 and 5; each blocked pair spans both
+        # on two CPUs, round-robin, this process writes jobs 0, 2 and 4 and
+        # the child 1, 3 and 5; each blocked pair spans both
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 2)
-        jobs = many_jobs(tmp_path, "csv", rows=(1, 5000, 400, 9, 30, 300))
+        jobs = many_jobs(tmp_path, "csv")
         for i in blocked:
             jobs[i][1].mkdir()
         with pytest.raises(OSError) as sequential:
-            write_dataset(*jobs[first], "csv")
+            write_dataset(jobs[first][0](), jobs[first][1], "csv")
         with pytest.raises(OSError) as parallel:
             write_all(jobs, "csv")
         assert_no_children()
         assert forks == [1]
         assert str(parallel.value) == str(sequential.value)
-        for dataset, path in jobs[:first]:
-            assert path.read_bytes() == write_dataset(dataset, tmp_path / "alone.csv").read_bytes()
+        for build, path in jobs[:first]:
+            assert path.read_bytes() == write_dataset(build(), tmp_path / "alone.csv").read_bytes()
 
     @pytest.mark.parametrize("end_child", [lambda: os._exit(7), lambda: 1 / 0])
     def test_files_of_a_child_that_ends_early_are_written_here(self, tmp_path, monkeypatch,
@@ -404,8 +410,8 @@ class TestWritingAhead:
         jobs = many_jobs(tmp_path / "many", "csv")
         write_all(jobs, "csv")
         assert_no_children()
-        for dataset, path in jobs:
-            assert path.read_bytes() == write_dataset(dataset, tmp_path / path.name).read_bytes()
+        for build, path in jobs:
+            assert path.read_bytes() == write_dataset(build(), tmp_path / path.name).read_bytes()
 
     def test_failure_here_reaps_the_children(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 3)
@@ -478,6 +484,91 @@ class TestWritingAhead:
         assert figures(tmp_path / "warned") == forked
         assert_no_children()
 
+    def test_warning_after_the_fork_keeps_the_child(self, tmp_path, monkeypatch):
+        # Python >= 3.12 warns in this process once the child exists; -W error makes it raise
+        real_fork = os.fork
+
+        def fork_then_warn():
+            pid = real_fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                              "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_then_warn)
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 3)
+        jobs = many_jobs(tmp_path / "many", "csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_all(jobs, "csv")
+        assert_no_children()
+        for build, path in jobs:
+            assert path.read_bytes() == write_dataset(build(), tmp_path / path.name).read_bytes()
+
+    @pytest.mark.parametrize("cpus,order", [
+        (1, "b0 w0 b1 w1 b2 w2 b3 w3 b4 w4 b5 w5"),
+        (2, "b1 b3 b5 fork b0 w0 w1 b2 w2 w3 b4 w4 w5"),
+        (3, "b1 b4 fork b2 b5 fork b0 w0 w1 w2 b3 w3 w4 w5"),
+    ])
+    def test_shares_built_before_their_fork_the_rest_before_their_write(
+            self, tmp_path, monkeypatch, cpus, order):
+        events = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: events.append("fork") or real_fork())
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: cpus)
+        jobs = [(lambda i=i, build=build: events.append(f"b{i}") or build(), path)
+                for i, (build, path) in enumerate(many_jobs(tmp_path, "csv"))]
+        with _writing_ahead(jobs, "csv", None) as datasets:
+            for i, (_, path) in enumerate(jobs):
+                write_dataset(next(datasets), path)
+                events.append(f"w{i}")
+        assert_no_children()
+        assert " ".join(events) == order
+
+    @pytest.mark.parametrize("grid", [[], ["--grid", "5"]])
+    def test_figures_child_writes_every_second_file(self, tmp_path, monkeypatch, grid):
+        ahead = []
+
+        @contextlib.contextmanager
+        def noting_ahead(jobs, fmt, config):
+            with _writing_ahead(jobs, fmt, config) as datasets:
+                ahead.extend(sorted(Path(path).name for path in cvcluster.io._AHEAD))
+                yield datasets
+
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 2)
+        monkeypatch.setattr(cvcluster.cli, "_writing_ahead", noting_ahead)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["figures", *grid, "--out", str(tmp_path)]) == 0
+        assert_no_children()
+        assert ahead == ["fig4.csv", "fig6.csv", "fig8_input_target.csv",
+                         "fig8_output_target_r1.csv", "fig8_output_target_r3.csv"]
+
+    def test_figures_hold_one_panel_at_a_time(self, tmp_path, monkeypatch):
+        # on one CPU every dataset is built just before its write and dropped after it, so the
+        # peak is one panel's encoding plus about one panel; holding all six adds five panels
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 1)
+        panels = list(fig8_dataset(grid_points=101).values())
+        panel_bytes = max(panel.values.nbytes for panel in panels)
+        encode_peak = 0
+        for panel in panels:
+            tracemalloc.start()
+            try:
+                write_dataset(panel, tmp_path / "panel.csv")
+                encode_peak = max(encode_peak, tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        del panels, panel
+        argv = ["figures", "--grid", "101", "--out", str(tmp_path / "figs")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(argv) == 0  # one-time imports and caches
+            tracemalloc.start()
+            try:
+                assert cli_main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < encode_peak + 3 * panel_bytes
+
     def test_failed_fork_writes_in_process(self, tmp_path, monkeypatch):
         def fork_fails():
             raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -486,8 +577,8 @@ class TestWritingAhead:
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 3)
         jobs = many_jobs(tmp_path / "many", "csv")
         write_all(jobs, "csv")
-        for dataset, path in jobs:
-            assert path.read_bytes() == write_dataset(dataset, tmp_path / path.name).read_bytes()
+        for build, path in jobs:
+            assert path.read_bytes() == write_dataset(build(), tmp_path / path.name).read_bytes()
 
 
 def test_module_entrypoint_runs():
