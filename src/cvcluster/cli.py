@@ -535,6 +535,8 @@ def main(argv: list[str] | None = None) -> int:
         message = str(exc)
     except OverflowError as exc:
         message = f"inputs out of range: {exc}"
+    except MemoryError as exc:
+        message = f"inputs too large: {str(exc) or 'out of memory'}"
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
 

@@ -1,10 +1,10 @@
 """Measurement-plus-feedforward logic gates on the four-mode cluster.
 
 Each gate couples its input signal(s) to cluster modes on 50:50 splitters,
-measures a commuting set of quadratures with homodyne detectors, and adds
-the scaled photocurrents back onto the surviving modes. Because every
-measured quadrature is itself a linear form in the seeds, feedforward is
-plain expression arithmetic and the output statistics stay closed-form.
+measures quadratures with homodyne detectors, and adds the scaled
+photocurrents onto the surviving modes. The displacement gate is the
+squeezer's single-mode step at detection angle 0. Measured quadratures are
+linear forms in the seeds, so the output statistics stay closed-form.
 
 Gates are pure functions of their parameters and the squeezing parameter r.
 Each call builds a fresh cluster, so results never share state. Every output
@@ -21,15 +21,10 @@ from typing import Iterable, Mapping
 from .algebra import ModePair, _check_r, beamsplitter, input_mode, rotate_quadrature
 from .cluster import ClusterState, build_cluster
 
-#: Fixed feedforward gains of the displacement gate. The first detector's
-#: photocurrent (plus the displacement offset s0) is added with gain +sqrt(2),
-#: the second's (minus s1) with gain -sqrt(2); this makes the input signal
-#: reappear in the output with unit coefficient.
-G0 = math.sqrt(2.0)
-G1 = -math.sqrt(2.0)
-
-#: Feedforward gain magnitude used by the controlled-X scheme.
-CX_GAIN = math.sqrt(2.0)
+#: Feedforward gain magnitude of every gate: a 50:50 splitter scales the
+#: input by 1/sqrt(2), so a sqrt(2) gain makes it reappear with unit
+#: coefficient.
+GAIN = math.sqrt(2.0)
 
 #: Distinguishability criterion -> number of standard deviations between
 #: the two output distributions.
@@ -98,6 +93,26 @@ def _result(r: float, modes: dict[str, ModePair], meta: dict[str, float]) -> Gat
     """The output modes with their moments evaluated at r."""
     stats = {name: mode_moments(mode, r) for name, mode in modes.items()}
     return GateResult(modes=modes, stats=stats, meta=meta)
+
+
+def _single_mode(params: DisplacementParams | SqueezerParams, r: float, theta: float,
+                 g2: float, g3: float, s0: float, s1: float) -> ModePair:
+    """One-mode teleportation step (Menicucci et al., PRL 97, 110501 (2006)).
+
+    The input, with ``params``' moments, splits with b1 into c1 and c2.
+    Homodyne readings feed forward onto b4: c1 rotated by theta, plus s0,
+    onto the amplitude with gain sqrt(2)/cos(theta); the c2 phase onto the
+    amplitude with -sqrt(2) tan(theta) and, minus s1, onto the phase with
+    -sqrt(2). b2's amplitude and b3's phase cancel cluster noise with gains
+    g2 and g3.
+    """
+    cluster, [(c1, c2)] = _couple(
+        r, ("b1", "in", params.mean_x, params.mean_y, params.var_x, params.var_y)
+    )
+    x = (cluster.b4.x + GAIN / math.cos(theta) * (rotate_quadrature(c1, theta) + s0)
+         + g2 * cluster.b2.x - GAIN * math.tan(theta) * c2.y)
+    y = cluster.b4.y - GAIN * (c2.y - s1) + g3 * cluster.b3.y
+    return ModePair(x=x, y=y)
 
 
 # --------------------------------------------------------------------------
@@ -184,18 +199,11 @@ def optimal_displacement_variance(r: float, v_in: float = 1.0) -> float:
 def displacement_gate(params: DisplacementParams, r: float) -> GateResult:
     """Displace the input by (sqrt(2) s0, sqrt(2) s1) in phase space.
 
-    The input couples to cluster mode b1 on a 50:50 splitter; the split
-    outputs' amplitude and phase are measured, offset by s0/-s1, and fed
-    onto b4 with the fixed gains. Two more detectors on b2 and b3 cancel
-    residual cluster noise with gains g2/g3.
+    The single-mode step at theta = 0, with ``params``' offsets and gains.
     """
     g2, g3 = (optimal_gain(r) if g == _OPTIMAL else float(g) for g in (params.g2, params.g3))
-    cluster, [(c1, c2)] = _couple(
-        r, ("b1", "in", params.mean_x, params.mean_y, params.var_x, params.var_y)
-    )
-    x_out = cluster.b4.x + G0 * (c1.x + params.s0) + g2 * cluster.b2.x
-    y_out = cluster.b4.y + G1 * (c2.y - params.s1) + g3 * cluster.b3.y
-    return _result(r, {"out": ModePair(x=x_out, y=y_out)}, {"g2": g2, "g3": g3})
+    out = _single_mode(params, r, 0.0, g2, g3, params.s0, params.s1)
+    return _result(r, {"out": out}, {"g2": g2, "g3": g3})
 
 
 def min_distinguishable_displacement(
@@ -283,30 +291,17 @@ class SqueezerParams:
 def squeezer_gate(params: SqueezerParams, r: float) -> GateResult:
     """Apply the tunable squeezing gate to the input signal.
 
-    The input couples to b1 as in the displacement gate. The first detector
-    measures the c1 quadrature rotated by theta and feeds forward with gain
-    sqrt(2)/cos(theta); the second measures the c2 phase and feeds forward
-    with gains -sqrt(2)*tan(theta) onto the amplitude and -sqrt(2) onto the
-    phase; b2 and b3 are added at unit gain. The output amplitude keeps a
-    ``+2 tan(theta)`` cross-coupling from the input phase (recorded in
+    The single-mode step at detection angle theta, with unit gains on b2
+    and b3 and no offsets. The output amplitude keeps a ``+2 tan(theta)``
+    cross-coupling from the input phase (recorded in
     ``meta["cross_coefficient"]``), which shears the output:
     ``stats["out"].cov_xy`` is ``2 tan(theta) var_y``.
     """
     tan_t = params.tan_theta
-    cluster, [(c1, c2)] = _couple(
-        r, ("b1", "in", params.mean_x, params.mean_y, params.var_x, params.var_y)
-    )
-    hd1 = rotate_quadrature(c1, params.theta)
-    x_out = (
-        cluster.b4.x
-        + (G0 / math.cos(params.theta)) * hd1
-        + cluster.b2.x
-        - G0 * tan_t * c2.y
-    )
-    y_out = cluster.b4.y - G0 * c2.y + cluster.b3.y
-    return _result(r, {"out": ModePair(x=x_out, y=y_out)}, {
+    out = _single_mode(params, r, params.theta, 1.0, 1.0, 0.0, 0.0)
+    return _result(r, {"out": out}, {
         "theta": params.theta, "tan_theta": tan_t, "rescale": math.cos(params.theta),
-        "squeeze_parameter": -tan_t, "cross_coefficient": x_out.coefficient("in", "y"),
+        "squeeze_parameter": -tan_t, "cross_coefficient": out.x.coefficient("in", "y"),
     })
 
 
@@ -330,13 +325,6 @@ def rotated_output_variances(params: SqueezerParams, r: float,
             for c, s in ((math.cos(phi), math.sin(phi)) for phi in phis)]
 
 
-def _phi_noise(phi: float, tan_theta: float) -> float:
-    # coherent-input part of the rotated variance
-    c = math.cos(phi)
-    s = math.sin(phi)
-    return c * c + (2.0 * tan_theta * c + s) ** 2
-
-
 def _squeezing_tan(theta: float) -> float:
     t = math.tan(theta)
     if abs(t) < 1e-12:
@@ -347,14 +335,15 @@ def _squeezing_tan(theta: float) -> float:
 def optimal_detection_angle(theta: float) -> tuple[float, float]:
     """Angle minimizing the rotated output variance, and its noise floor.
 
-    Solves ``tan(2 phi) tan(theta) = 1`` and picks the minimizing branch in
-    [0, pi). Returns ``(phi_opt, 1/tan(phi_opt)^2)``; the second value is
-    the coherent-input noise at phi_opt, below 1 whenever tan(theta) != 0.
+    Solves ``tan(2 phi) tan(theta) = 1`` in [0, pi). At either root the
+    coherent-input noise is ``1/tan(phi)^2``, so the minimizing root is the
+    one with the larger |tan(phi)|. Returns ``(phi_opt, 1/tan(phi_opt)^2)``;
+    the noise floor is below 1 whenever tan(theta) != 0.
     """
     t = _squeezing_tan(theta)
     double = math.atan2(1.0, t)
     candidates = (0.5 * double, 0.5 * (double + math.pi))
-    phi = min(candidates, key=lambda p: _phi_noise(p, t))
+    phi = max(candidates, key=lambda p: abs(math.tan(p)))
     return phi, math.tan(phi) ** -2
 
 
@@ -415,12 +404,12 @@ def controlled_x_gate(params: CxParams, r: float) -> GateResult:
         ("b3", "c", params.s_c, 0.0, params.var_cx, params.var_cy),
     )
     target = ModePair(
-        x=cluster.b1.x + CX_GAIN * t1.x + CX_GAIN * c1.x,
-        y=cluster.b1.y - CX_GAIN * t2.y,
+        x=cluster.b1.x + GAIN * t1.x + GAIN * c1.x,
+        y=cluster.b1.y - GAIN * t2.y,
     )
     control = ModePair(
-        x=cluster.b4.x - CX_GAIN * c1.x,
-        y=cluster.b4.y - CX_GAIN * t2.y + CX_GAIN * c2.y,
+        x=cluster.b4.x - GAIN * c1.x,
+        y=cluster.b4.y - GAIN * t2.y + GAIN * c2.y,
     )
     return _result(r, {"target": target, "control": control}, {})
 

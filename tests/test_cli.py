@@ -352,6 +352,28 @@ class TestMalformedInputs:
         assert err.startswith(error)
         assert not target.exists()
 
+    def test_inputs_too_large(self, tmp_path):
+        # one 11.9 GiB Wigner grid, asked for at once under a 2 GiB address-space limit;
+        # the directory is made before the grid, and how many of the fig3-fig6 files are
+        # written first depends on the usable CPUs, but no fig8 panel is
+        pytest.importorskip("resource")
+        src = Path(cvcluster.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                  "import cvcluster.cli as cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", script, "figures", "--grid", "40000",
+                               "--out", "big"], cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: inputs too large: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert (tmp_path / "big").is_dir()
+        assert not list((tmp_path / "big").glob("fig8_*"))
+
     @pytest.mark.parametrize("argv,config,message", [
         (("prepare", "--r", "1"), {"format": "xml"}, "error: --format must be csv or json"),
         (("displace", "--r", "1"), {"criterion": 98}, "error: --criterion must be 95 or 99"),

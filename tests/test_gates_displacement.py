@@ -1,5 +1,6 @@
 """Displacement gate: transfer, gains, noise floor, fidelity, resolvability."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.optimize import minimize_scalar
 from cvcluster import (
     Axis,
     DisplacementParams,
+    SqueezerParams,
     displacement_gate,
     displacement_output_variance,
     fidelity_from_variances,
@@ -16,6 +18,7 @@ from cvcluster import (
     min_distinguishable_displacement,
     optimal_displacement_variance,
     optimal_gain,
+    squeezer_gate,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -41,6 +44,22 @@ class TestSignalTransfer:
         # no quadrature mixing
         assert abs(out.x.coefficient("in", Axis.Y)) < 1e-12
         assert abs(out.y.coefficient("in", Axis.X)) < 1e-12
+
+
+class TestSqueezerAtThetaZero:
+    # the displacement gate is the squeezer's single-mode step at theta = 0
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("moments", [
+        {},
+        {"var_x": 0.3, "var_y": 4.0},
+        {"mean_x": 0.7, "mean_y": -1.2, "var_x": 2.5, "var_y": 0.5},
+    ])
+    def test_same_moments_bit_for_bit(self, r, moments):
+        displaced = displacement_gate(DisplacementParams(g2=1.0, g3=1.0, **moments), r)
+        squeezed = squeezer_gate(SqueezerParams(theta=0.0, **moments), r)
+        assert displaced.stats == squeezed.stats
+        assert ([v.hex() for v in dataclasses.astuple(displaced.stats["out"])]
+                == [v.hex() for v in dataclasses.astuple(squeezed.stats["out"])])
 
 
 class TestVariance:

@@ -176,6 +176,15 @@ class TestOptimalAngle:
         )
         assert floor == pytest.approx(res.fun - 3.0 * math.exp(-2.0 * r), abs=1e-9)
 
+    @pytest.mark.parametrize("tan_theta", WIDE_TAN_GRID)
+    def test_picks_the_smaller_root(self, tan_theta):
+        # the roots of tan(2 phi) tan(theta) = 1 lie pi/2 apart in [0, pi)
+        params = SqueezerParams.from_tan(tan_theta)
+        phi_opt, _ = optimal_detection_angle(params.theta)
+        other = phi_opt + (math.pi / 2 if phi_opt < math.pi / 2 else -math.pi / 2)
+        at_opt, at_other = rotated_output_variances(params, 1.0, (phi_opt, other))
+        assert at_opt < at_other
+
     def test_floor_closed_form(self):
         for t in (0.3, 1.0, 2.0, 7.0):
             _, floor = optimal_detection_angle(math.atan(t))

@@ -34,12 +34,14 @@ def test_report_commands_do_not_load_numpy():
         "import cvcluster\n"
         "import cvcluster.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['prepare', '--r', '1']), cli.main(['cx', '--r', '1'])]\n"
+        "    codes = [cli.main(['prepare', '--r', '1']), cli.main(['cx', '--r', '1']),\n"
+        "             cli.main(['displace', '--r', '1']),\n"
+        "             cli.main(['squeeze', '--r', '1', '--tan-theta', '2'])]\n"
         "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
     )
     proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0, 0], "numpy": False}
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "numpy": False}
 
 
 def test_mode_moments_do_not_load_numpy():
