@@ -50,8 +50,6 @@ _FORMAT_MIN, _EXP_MAX, _SPLIT = 300, 284, 2.0**27 + 1
 #: bytes per float: every '.17g' text is shorter, so the last byte is free for the separator;
 #: the longest have 24 bytes, such as -4.9406564584124654e-324
 _FIELD = 32
-#: path -> pipe on which a child of _writing_ahead reports that file written
-_AHEAD: dict[str, int] = {}
 
 
 @dataclass(frozen=True)
@@ -217,17 +215,14 @@ def dataset_to_json(dataset: CurveDataset, config: dict | None = None) -> str:
 
 
 def write_dataset(
-    dataset: CurveDataset,
+    dataset: CurveDataset | None,
     path: str | Path,
     fmt: str = "csv",
     config: dict | None = None,
 ) -> Path:
-    """Serialize a dataset to ``path``, unless _writing_ahead's child did; returns the path."""
-    report = _AHEAD.pop(str(path), None)
-    if report is not None:
-        with open(report, "rb") as pipe:
-            if pipe.read(1):
-                return Path(path)
+    """Serialize a dataset to ``path`` and return the path; ``None`` writes nothing."""
+    if dataset is None:
+        return Path(path)
     if fmt == "csv":
         blocks: Iterable[bytes] = _csv_blocks(dataset, config)
     elif fmt == "json":
@@ -248,29 +243,27 @@ def _cpus() -> int:
 
 @contextlib.contextmanager
 def _writing_ahead(jobs: Sequence[tuple[Callable[[], CurveDataset], Path]], fmt: str,
-                   config: dict | None) -> Iterator[Iterator[CurveDataset]]:
+                   config: dict | None) -> Iterator[Iterator[CurveDataset | None]]:
     """Let forked children write some of the ``(build, path)`` jobs meanwhile.
 
     The jobs go round-robin, in order, to min(jobs, usable CPUs) workers,
-    this process first. A child's share is built here before its fork; the
-    yielded iterator gives every dataset in order, building this process's
-    own on reaching them, so this process holds the shares plus one dataset.
-    :func:`write_dataset`, called here for every job, waits for a child's
-    report. Nothing is forked for one job or CPU, without ``os.fork``, or
-    while another Python thread could hold a lock the child needs (native
-    threads, such as numpy's BLAS pool, are not counted; Python >= 3.12's
-    warning of them is ignored). A fork raising ``OSError`` or
-    ``DeprecationWarning`` leaves its jobs to this process.
+    this process first; each builds and writes its own, one at a time, and a
+    child reports each file written on a pipe. The yielded iterator gives,
+    in job order, ``None`` for a file a child reported, else the dataset
+    built here, as for a job whose child failed. Nothing is forked for one
+    job or CPU, without ``os.fork``, or while another Python thread runs
+    (native ones, such as numpy's BLAS pool, are not counted, and Python >=
+    3.12's warning of them is ignored); a fork raising ``OSError`` or
+    ``DeprecationWarning`` leaves its jobs here.
     """
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     workers = min(len(jobs), _cpus()) if forkable else 1
     if fmt == "csv" and workers > 1:
         _format_tables()  # built once here, not once in each process
-    built: dict[int, CurveDataset] = {}
+    reports: dict[int, int] = {}
     children = []
     try:
         for share in (range(w, len(jobs), workers) for w in range(1, workers)):
-            built.update((i, jobs[i][0]()) for i in share)
             pipes = [os.pipe() for _ in share]
             with contextlib.suppress(OSError, DeprecationWarning), warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)  # raised after the fork
@@ -279,17 +272,18 @@ def _writing_ahead(jobs: Sequence[tuple[Callable[[], CurveDataset], Path]], fmt:
                 try:
                     for i, (_, write_fd) in zip(share, pipes):
                         with open(write_fd, "wb", 0) as report, contextlib.suppress(OSError):
-                            write_dataset(built[i], jobs[i][1], fmt, config)
+                            write_dataset(jobs[i][0](), jobs[i][1], fmt, config)
                             report.write(b"1")
                     os._exit(0)
                 finally:
                     os._exit(1)
             for i, (read_fd, write_fd) in zip(share, pipes):
                 os.close(write_fd)
-                _AHEAD[str(jobs[i][1])] = read_fd
-        yield (built.pop(i) if i in built else build() for i, (build, _) in enumerate(jobs))
+                reports[i] = read_fd
+        yield (None if i in reports and os.read(reports[i], 1) else build()
+               for i, (build, _) in enumerate(jobs))
     finally:
-        while _AHEAD:
-            os.close(_AHEAD.popitem()[1])
+        for read_fd in reports.values():
+            os.close(read_fd)
         for pid in children:
             os.waitpid(pid, 0)

@@ -302,6 +302,12 @@ class TestWriteDataset:
         with pytest.raises(ValueError):
             write_dataset(dataset, tmp_path / "d.xml", "xml")
 
+    def test_none_writes_nothing(self, tmp_path):
+        path = tmp_path / "child.csv"
+        assert write_dataset(None, path) == path
+        assert write_dataset(None, str(path), "json", {"k": 1}) == path
+        assert list(tmp_path.iterdir()) == []
+
     def test_reruns_byte_identical(self, dataset, tmp_path):
         p1 = write_dataset(dataset, tmp_path / "one.csv", "csv", {"k": 1})
         first = p1.read_bytes()
@@ -329,7 +335,6 @@ def write_all(jobs, fmt, config=None):
             assert write_dataset(next(datasets), path, fmt, config) == path
             written.append(path.read_bytes())
         assert next(datasets, None) is None
-    assert cvcluster.io._AHEAD == {}
     return written
 
 
@@ -395,21 +400,27 @@ class TestWritingAhead:
         for build, path in jobs[:first]:
             assert path.read_bytes() == write_dataset(build(), tmp_path / "alone.csv").read_bytes()
 
-    @pytest.mark.parametrize("end_child", [lambda: os._exit(7), lambda: 1 / 0])
+    @pytest.mark.parametrize("end_child", [lambda: os._exit(7), lambda: 1 / 0, "build"])
     def test_files_of_a_child_that_ends_early_are_written_here(self, tmp_path, monkeypatch,
-                                                                end_child):
+                                                                capfd, end_child):
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 2)
         parent = os.getpid()
 
-        def end_in_child(*args):
-            if os.getpid() != parent:
-                end_child()
-            return write_dataset(*args)
+        def in_child(call, end):
+            def ending(*args):
+                if os.getpid() != parent:
+                    end()
+                return call(*args)
+            return ending
 
-        monkeypatch.setattr(cvcluster.io, "write_dataset", end_in_child)
         jobs = many_jobs(tmp_path / "many", "csv")
+        if end_child == "build":  # the child's second job raises only while the child builds it
+            jobs[3] = (in_child(jobs[3][0], lambda: 1 / 0), jobs[3][1])
+        else:
+            monkeypatch.setattr(cvcluster.io, "write_dataset", in_child(write_dataset, end_child))
         write_all(jobs, "csv")
         assert_no_children()
+        assert capfd.readouterr() == ("", "")
         for build, path in jobs:
             assert path.read_bytes() == write_dataset(build(), tmp_path / path.name).read_bytes()
 
@@ -421,7 +432,6 @@ class TestWritingAhead:
                 raise RuntimeError("stop")
         assert_no_children()
         assert len(forks) == 2
-        assert cvcluster.io._AHEAD == {}
 
     @pytest.mark.parametrize("fmt,built", [("csv", 1), ("json", 0)])
     def test_format_tables_built_once_before_the_first_fork(self, tmp_path, monkeypatch, fmt,
@@ -507,11 +517,12 @@ class TestWritingAhead:
 
     @pytest.mark.parametrize("cpus,order", [
         (1, "b0 w0 b1 w1 b2 w2 b3 w3 b4 w4 b5 w5"),
-        (2, "b1 b3 b5 fork b0 w0 w1 b2 w2 w3 b4 w4 w5"),
-        (3, "b1 b4 fork b2 b5 fork b0 w0 w1 w2 b3 w3 w4 w5"),
+        (2, "fork b0 w0 w1 b2 w2 w3 b4 w4 w5"),
+        (3, "fork fork b0 w0 w1 w2 b3 w3 w4 w5"),
     ])
-    def test_shares_built_before_their_fork_the_rest_before_their_write(
+    def test_children_fork_first_and_this_process_builds_only_its_own_jobs(
             self, tmp_path, monkeypatch, cpus, order):
+        # a child builds its share after its fork, so its events stay in the child
         events = []
         real_fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: events.append("fork") or real_fork())
@@ -529,24 +540,26 @@ class TestWritingAhead:
     def test_figures_child_writes_every_second_file(self, tmp_path, monkeypatch, grid):
         ahead = []
 
-        @contextlib.contextmanager
-        def noting_ahead(jobs, fmt, config):
-            with _writing_ahead(jobs, fmt, config) as datasets:
-                ahead.extend(sorted(Path(path).name for path in cvcluster.io._AHEAD))
-                yield datasets
+        def noting_ahead(dataset, path, *args):
+            if dataset is None:
+                ahead.append(Path(path).name)
+            return write_dataset(dataset, path, *args)
 
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 2)
-        monkeypatch.setattr(cvcluster.cli, "_writing_ahead", noting_ahead)
+        monkeypatch.setattr(cvcluster.cli, "write_dataset", noting_ahead)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main(["figures", *grid, "--out", str(tmp_path)]) == 0
         assert_no_children()
+        assert len(list(tmp_path.iterdir())) == 10
         assert ahead == ["fig4.csv", "fig6.csv", "fig8_input_target.csv",
                          "fig8_output_target_r1.csv", "fig8_output_target_r3.csv"]
 
-    def test_figures_hold_one_panel_at_a_time(self, tmp_path, monkeypatch):
-        # on one CPU every dataset is built just before its write and dropped after it, so the
-        # peak is one panel's encoding plus about one panel; holding all six adds five panels
-        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: 1)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_figures_hold_one_panel_at_a_time(self, tmp_path, monkeypatch, cpus):
+        # this process builds each of its own datasets just before its write and drops it
+        # after it, and none of a child's, so the peak is one panel's encoding plus about one
+        # panel; holding all six adds five panels, a child's three on two CPUs
+        monkeypatch.setattr(cvcluster.io, "_cpus", lambda: cpus)
         panels = list(fig8_dataset(grid_points=101).values())
         panel_bytes = max(panel.values.nbytes for panel in panels)
         encode_peak = 0
