@@ -31,11 +31,6 @@ class ClusterState:
     def modes(self) -> tuple[ModePair, ModePair, ModePair, ModePair]:
         return (self.b1, self.b2, self.b3, self.b4)
 
-    def mode(self, name: str) -> ModePair:
-        if name not in ("b1", "b2", "b3", "b4"):
-            raise ValueError(f"unknown cluster mode {name!r}")
-        return getattr(self, name)
-
 
 def build_cluster() -> ClusterState:
     """Run the preparation network on four fresh sources; return the cluster modes."""

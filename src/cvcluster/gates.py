@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .algebra import ModePair, _check_r, beamsplitter, input_mode, rotate_quadrature
-from .cluster import ClusterState, build_cluster
+from .cluster import build_cluster
 
 #: Feedforward gain magnitude of every gate: a 50:50 splitter scales the
 #: input by 1/sqrt(2), so a sqrt(2) gain makes it reappear with unit
@@ -75,20 +75,6 @@ class GateResult:
     meta: Mapping[str, float]
 
 
-def _couple(r: float, *inputs: tuple) -> tuple[ClusterState, list]:
-    """Build a fresh cluster and split each input signal with its cluster mode.
-
-    An input is ``(mode, label, mean_x, mean_y, var_x, var_y)``; it is mixed
-    with its cluster mode, which takes the first port, on a 50:50 splitter.
-    """
-    _check_r(r)
-    cluster = build_cluster()
-    return cluster, [
-        beamsplitter(cluster.mode(mode), input_mode(*source), 0.5, 0.0)
-        for mode, *source in inputs
-    ]
-
-
 def _result(r: float, modes: dict[str, ModePair], meta: dict[str, float]) -> GateResult:
     """The output modes with their moments evaluated at r."""
     stats = {name: mode_moments(mode, r) for name, mode in modes.items()}
@@ -106,12 +92,13 @@ def _single_mode(params: DisplacementParams | SqueezerParams, r: float, theta: f
     -sqrt(2). b2's amplitude and b3's phase cancel cluster noise with gains
     g2 and g3.
     """
-    cluster, [(c1, c2)] = _couple(
-        r, ("b1", "in", params.mean_x, params.mean_y, params.var_x, params.var_y)
-    )
-    x = (cluster.b4.x + GAIN / math.cos(theta) * (rotate_quadrature(c1, theta) + s0)
-         + g2 * cluster.b2.x - GAIN * math.tan(theta) * c2.y)
-    y = cluster.b4.y - GAIN * (c2.y - s1) + g3 * cluster.b3.y
+    _check_r(r)
+    b1, b2, b3, b4 = build_cluster().modes
+    c1, c2 = beamsplitter(b1, input_mode("in", params.mean_x, params.mean_y, params.var_x,
+                                         params.var_y), 0.5)
+    x = (b4.x + GAIN / math.cos(theta) * (rotate_quadrature(c1, theta) + s0)
+         + g2 * b2.x - GAIN * math.tan(theta) * c2.y)
+    y = b4.y - GAIN * (c2.y - s1) + g3 * b3.y
     return ModePair(x=x, y=y)
 
 
@@ -398,19 +385,12 @@ def controlled_x_gate(params: CxParams, r: float) -> GateResult:
     ``(3e^{-2r} + var_cx + var_tx, 2e^{-2r} + var_ty)``; control mean
     (s_c, 0), variances ``(2e^{-2r} + var_cx, 3e^{-2r} + var_cy + var_ty)``.
     """
-    cluster, [(t1, t2), (c2, c1)] = _couple(
-        r,
-        ("b2", "t", params.s_t, 0.0, params.var_tx, params.var_ty),
-        ("b3", "c", params.s_c, 0.0, params.var_cx, params.var_cy),
-    )
-    target = ModePair(
-        x=cluster.b1.x + GAIN * t1.x + GAIN * c1.x,
-        y=cluster.b1.y - GAIN * t2.y,
-    )
-    control = ModePair(
-        x=cluster.b4.x - GAIN * c1.x,
-        y=cluster.b4.y - GAIN * t2.y + GAIN * c2.y,
-    )
+    _check_r(r)
+    b1, b2, b3, b4 = build_cluster().modes
+    t1, t2 = beamsplitter(b2, input_mode("t", params.s_t, 0.0, params.var_tx, params.var_ty), 0.5)
+    c2, c1 = beamsplitter(b3, input_mode("c", params.s_c, 0.0, params.var_cx, params.var_cy), 0.5)
+    target = ModePair(x=b1.x + GAIN * t1.x + GAIN * c1.x, y=b1.y - GAIN * t2.y)
+    control = ModePair(x=b4.x - GAIN * c1.x, y=b4.y - GAIN * t2.y + GAIN * c2.y)
     return _result(r, {"target": target, "control": control}, {})
 
 

@@ -60,7 +60,7 @@ def cluster():
 def test_criterion_1_cluster_calibration(cluster):
     ok = True
     for (mode_name, axis), expected in CLUSTER_COEFFS.items():
-        mode = cluster.mode(mode_name)
+        mode = getattr(cluster, mode_name)
         expr = mode.x if axis == "x" else mode.y
         ok &= len(expr.terms) == len(expected)
         for (seed, ax), coeff in expected.items():

@@ -41,7 +41,7 @@ def cluster():
 class TestCalibration:
     def test_every_coefficient(self, cluster):
         for (mode_name, axis), expected in CLUSTER_COEFFS.items():
-            mode = cluster.mode(mode_name)
+            mode = getattr(cluster, mode_name)
             expr = mode.x if axis == "x" else mode.y
             assert len(expr.terms) == len(expected), (mode_name, axis)
             for (seed, ax), coeff in expected.items():
@@ -58,11 +58,6 @@ class TestCalibration:
         for mode in cluster.modes:
             assert mode.x.variance(0.0) == pytest.approx(1.0, abs=1e-12)
             assert mode.y.variance(0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_mode_lookup(self, cluster):
-        assert cluster.mode("b3") is cluster.b3
-        with pytest.raises(ValueError):
-            cluster.mode("b9")
 
 
 class TestNullifiers:

@@ -418,7 +418,7 @@ class TestWorkers:
 class TestCovariancePropagation:
     def test_matches_expression_route(self):
         cluster = build_cluster()
-        order = [(cluster.mode(name)) for name in SLOT_MODES]
+        order = [getattr(cluster, name) for name in SLOT_MODES]
         quads = []
         for mode in order:
             quads.extend([mode.x, mode.y])

@@ -83,7 +83,8 @@ def test_cx_moments(params):
 
 def test_covariance_route():
     cluster = build_cluster()
-    quads = [q for name in SLOT_MODES for q in (cluster.mode(name).x, cluster.mode(name).y)]
+    modes = [getattr(cluster, name) for name in SLOT_MODES]
+    quads = [q for mode in modes for q in (mode.x, mode.y)]
     for r in R_GRID:
         route = covariance_propagate(NETWORK, r)
         algebra = np.array([[a.covariance(b, r) for b in quads] for a in quads])
