@@ -9,12 +9,15 @@ Sampling is split into :data:`STREAMS` counter-keyed SFC64 substreams and
 blocks of :data:`BLOCK` samples, and each block draws one standard normal
 per seed in ``(id, axis)`` order. Each seed's law (its mean and standard
 deviation at r) is folded into the coefficients and constants once per
-call, so the draws need no per-seed affine pass. Estimates depend
-only on the integer seed, those two constants, the seeds' names and the bit
-generator, never on how the work is scheduled. The substreams run on one
-worker thread per CPU the process may use (numpy releases the interpreter
-lock while it draws and sums), and the estimates are bit for bit the same
-on any number of CPUs.
+call, so the draws need no per-seed affine pass. The blocks hold the
+zero-mean noise only, and each expression's constant joins its mean after
+the block moments are merged, so a large mean neither rounds away the
+noise's low bits nor overflows a squared deviation. Estimates depend
+only on the integer seed, :data:`STREAMS`, :data:`BLOCK`, the seeds' names
+and the bit generator, never on how the work is scheduled. The substreams
+run on one worker thread per CPU the process may use (numpy releases the
+interpreter lock while it draws and sums), and the estimates are bit for
+bit the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -77,8 +80,9 @@ def sample_exprs(
     expression as ``(coeff * sd) * z``, with ``coeff * mu`` added to the
     expression's constant; both are computed from ``seed.mean``,
     ``seed.variance_at(r)`` and ``expr.terms`` once per call. Each
-    expression is summed elementwise term by term, and the block means and
-    M2 are merged in block order (Chan, Golub and LeVeque, 1979). An
+    expression's zero-mean noise is summed elementwise term by term, the
+    block means and M2 are merged in block order (Chan, Golub and LeVeque,
+    1979), and the constant is added to the merged mean last. An
     estimate therefore depends only on ``seed``, :data:`STREAMS`,
     :data:`BLOCK`, the names of the seeds in the call and the bit generator,
     never on scheduling, the BLAS build, or the order or repetition of
@@ -130,8 +134,7 @@ def sample_exprs(
             for g, start in enumerate(range(0, size, BLOCK), first):
                 m = min(BLOCK, size - start)
                 row, tmp, blocks = draw[:m], work[:m], values[:, :m]
-                for block, constant in zip(blocks, constants):
-                    block.fill(constant)
+                blocks.fill(0.0)
                 for terms in uses:
                     gen.standard_normal(out=row)
                     for k, coeff in terms:
@@ -176,10 +179,10 @@ def sample_exprs(
         total_n = merged
 
     estimates = []
-    for mean, m2 in moments:
+    for (mean, m2), constant in zip(moments, constants):
         variance = m2 / (total_n - 1)
         estimates.append(SampleEstimate(
-            mean=mean,
+            mean=mean + constant,
             variance=variance,
             n=total_n,
             se_mean=math.sqrt(variance / total_n),

@@ -179,6 +179,24 @@ class TestCx:
         assert out.count("-> PASS") == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ("displace", "--r", "1", "--s0", "1e15", "--certify", "--samples", "100000"),
+    ("displace", "--r", "1", "--s0", "1e200", "--certify", "--samples", "100000"),
+    ("cx", "--r", "1", "--sc", "1e200", "--st", "1e200", "--certify", "--samples", "1000"),
+], ids=["displace-1e15", "displace-1e200", "cx-1e200"])
+def test_certify_passes_at_large_means(argv):
+    # a large mean must not swamp the sampled noise's low bits or overflow its
+    # squared deviations; every warning is an error, so none may reach stderr
+    src = Path(cvcluster.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cvcluster", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    verdicts = [line for line in proc.stdout.splitlines() if line.startswith("certify ")]
+    assert verdicts and all(line.endswith("-> PASS") for line in verdicts)
+
+
 class TestConfigMerge:
     def test_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -76,6 +76,13 @@ class TestSampling:
         assert est.mean == pytest.approx(4.0, abs=1e-15)
         assert est.variance == pytest.approx(0.0, abs=1e-15)
 
+    def test_large_constant_keeps_the_noise(self):
+        # at 1e15 a float's spacing is 0.125, coarser than this noise's spread
+        expr = squeezed_y() + 1e15
+        est = sample_expr(expr, 2.0, 100_000, 4)
+        assert abs(est.mean - expr.mean()) <= 4.0 * est.se_mean
+        assert abs(est.variance - expr.variance(2.0)) <= 4.0 * est.se_var
+
     def test_standard_error_scaling(self):
         expr = squeezed_y()
         ses = []
@@ -144,10 +151,11 @@ def folded_law(expr, r):
 
 
 def blocked_reference(expr, r, n, seed):
-    """The samples ``sample_exprs`` should draw, in one flat array.
+    """The samples ``sample_exprs`` should draw, in one flat array, and the
+    constant it adds to their mean.
 
     Each substream draws one standard normal per seed, in (id, axis) order,
-    block by block.
+    block by block; the samples are the zero-mean noise only.
     """
     constant, terms = folded_law(expr, r)
     streams = min(oracle.STREAMS, n)
@@ -158,11 +166,11 @@ def blocked_reference(expr, r, n, seed):
         gen = substream(seed, i)
         for start in range(0, size, BLOCK):
             m = min(BLOCK, size - start)
-            values = np.full(m, constant)
+            values = np.zeros(m)
             for _, coeff in terms:
                 values += coeff * gen.standard_normal(m)
             parts.append(values)
-    return np.concatenate(parts)
+    return np.concatenate(parts), constant
 
 
 class TestJointSampling:
@@ -187,9 +195,9 @@ class TestJointSampling:
         pair = squeezed_mode(SeedKind.AMPLITUDE_QUIET, "s")
         expr = 0.75 * mode.y - 1.25 * pair.x + mode.x + 3.0
         est = sample_exprs([expr], 0.8, n, 15)[0]
-        ref = blocked_reference(expr, 0.8, n, 15)
+        ref, constant = blocked_reference(expr, 0.8, n, 15)
         assert est.n == n == ref.size
-        assert est.mean == pytest.approx(float(ref.mean()), rel=1e-12)
+        assert est.mean == pytest.approx(float(ref.mean()) + constant, rel=1e-12)
         assert est.variance == pytest.approx(float(ref.var(ddof=1)), rel=1e-12)
 
     def test_shared_name_rejected(self):
@@ -202,7 +210,7 @@ class TestJointSampling:
         a, b = squeezed_y("a"), squeezed_y("b")
         est_a, est_b, est_sum = sample_exprs([a, b, a + b], 1.0, 50_000, 18)
         assert est_sum.variance == pytest.approx(est_a.variance + est_b.variance, rel=0.05)
-        ref = blocked_reference(a + b, 1.0, 50_000, 18)
+        ref, _ = blocked_reference(a + b, 1.0, 50_000, 18)
         assert est_sum.mean == pytest.approx(float(ref.mean()), abs=1e-12)
         assert est_sum.variance == pytest.approx(float(ref.var(ddof=1)), rel=1e-12)
 
@@ -282,7 +290,8 @@ def reference_sample_exprs(exprs, r, n, seed, streams):
     """The single-threaded loop: all seeds drawn into one matrix per block.
 
     Substreams run one after another, and each block's moments are merged
-    as soon as the block is summed.
+    as soon as the block's noise is summed; each constant joins its mean
+    after the last block.
     """
     seeds = sorted({var for expr in exprs for var in expr.terms}, key=seed_order)
     row = {var: j for j, var in enumerate(seeds)}
@@ -306,8 +315,8 @@ def reference_sample_exprs(exprs, r, n, seed, streams):
                 gen.standard_normal(out=draw[:m])
             block, tmp = values[:m], work[:m]
             merged = total_n + m
-            for k, (constant, terms) in enumerate(plans):
-                block.fill(constant)
+            for k, (_, terms) in enumerate(plans):
+                block.fill(0.0)
                 for j, coeff in terms:
                     np.multiply(draws[j, :m], coeff, out=tmp)
                     block += tmp
@@ -320,10 +329,10 @@ def reference_sample_exprs(exprs, r, n, seed, streams):
                               m2 + float(tmp.sum()) + delta * delta * total_n * m / merged)
             total_n = merged
     estimates = []
-    for mean, m2 in moments:
+    for (mean, m2), (constant, _) in zip(moments, plans):
         variance = m2 / (total_n - 1)
         estimates.append(SampleEstimate(
-            mean=mean,
+            mean=mean + constant,
             variance=variance,
             n=total_n,
             se_mean=math.sqrt(variance / total_n),
