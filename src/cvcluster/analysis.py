@@ -44,7 +44,9 @@ def wigner(moments: ModeStats, x_grid: np.ndarray, y_grid: np.ndarray) -> np.nda
     vacuum state peaks at ``1/(2 pi)`` and the grid integral is 1. Raises
     ``ValueError`` unless the covariance is positive definite, and
     ``OverflowError`` when the quadratic form overflows on the grid, instead
-    of returning zeros there.
+    of returning zeros there. The last bits of the values follow numpy's
+    ``exp``, whose SIMD kernel is chosen per CPU at import, so they can
+    differ between hosts.
     """
     x = np.asarray(x_grid, dtype=float)
     y = np.asarray(y_grid, dtype=float)

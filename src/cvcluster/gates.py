@@ -94,8 +94,8 @@ def _single_mode(params: DisplacementParams | SqueezerParams, r: float, theta: f
     """
     _check_r(r)
     b1, b2, b3, b4 = build_cluster().modes
-    c1, c2 = beamsplitter(b1, input_mode("in", params.mean_x, params.mean_y, params.var_x,
-                                         params.var_y), 0.5)
+    signal = input_mode("in", params.mean_x, params.mean_y, params.var_x, params.var_y)
+    c1, c2 = beamsplitter(b1, signal, 0.5)
     x = (b4.x + GAIN / math.cos(theta) * (rotate_quadrature(c1, theta) + s0)
          + g2 * b2.x - GAIN * math.tan(theta) * c2.y)
     y = b4.y - GAIN * (c2.y - s1) + g3 * b3.y
@@ -204,7 +204,9 @@ def min_distinguishable_displacement(
     Two output distributions are called distinct when their means differ by
     ``k`` output standard deviations (k=3 for the 99% criterion, k=2 for
     95%), so ``s_min = (k/sqrt(2)) * sigma_out`` with the optimal-gain
-    output variance.
+    output variance. ``var_x`` and ``var_y`` belong to the two separate
+    quadratures, each read on its own, so the uncertainty relation
+    var_x * var_y >= 1 is not required: fig3 passes e^{-2r'} for both.
     """
     _check_r(r)
     _check_variance("var_x", var_x)
