@@ -44,9 +44,11 @@ def wigner(moments: ModeStats, x_grid: np.ndarray, y_grid: np.ndarray) -> np.nda
     vacuum state peaks at ``1/(2 pi)`` and the grid integral is 1. Raises
     ``ValueError`` unless the covariance is positive definite, and
     ``OverflowError`` when the quadratic form overflows on the grid, instead
-    of returning zeros there. The last bits of the values follow numpy's
-    ``exp``, whose SIMD kernel is chosen per CPU at import, so they can
-    differ between hosts.
+    of returning zeros there. The quadratic form, its ``exp`` and the
+    normalization are computed in place in the one returned array, with the
+    float operations of ``exp(-0.5 * quad) / (2 pi sqrt(det))`` in its order.
+    The last bits of the values still follow numpy's ``exp``, whose SIMD
+    kernel is chosen per CPU at import, so they can differ between hosts.
     """
     x = np.asarray(x_grid, dtype=float)
     y = np.asarray(y_grid, dtype=float)
@@ -64,10 +66,15 @@ def wigner(moments: ModeStats, x_grid: np.ndarray, y_grid: np.ndarray) -> np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         dx = (x - moments.mean_x)[:, None]
         dy = (y - moments.mean_y)[None, :]
-        quad = inv00 * dx * dx + 2.0 * inv01 * dx * dy + inv11 * dy * dy
-    if not np.all(np.isfinite(quad)):
+        w = 2.0 * inv01 * dx * dy  # the quadratic form, then W, in this one buffer
+        np.add(inv00 * dx * dx, w, out=w)
+        w += inv11 * dy * dy
+    if not np.all(np.isfinite(w)):
         raise OverflowError("Wigner quadratic form is not finite")
-    return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+    w *= -0.5
+    np.exp(w, out=w)
+    w /= 2.0 * math.pi * math.sqrt(det)
+    return w
 
 
 def _as_grid(name: str, grid: Iterable[float]) -> np.ndarray:
@@ -188,9 +195,12 @@ def _wigner_panel(
     }
 
     def build() -> CurveDataset:
-        w = wigner(moments, x, y).ravel()
-        values = np.column_stack((np.repeat(x, y.size), np.tile(y, x.size), w))
-        return CurveDataset(tag="fig8", columns=("x", "y", "w"), values=values, meta=meta)
+        values = np.empty((x.size, y.size, 3))  # row i * y.size + j is x[i], y[j], W there
+        values[:, :, 0] = x[:, None]
+        values[:, :, 1] = y
+        values[:, :, 2] = wigner(moments, x, y)
+        return CurveDataset(tag="fig8", columns=("x", "y", "w"), values=values.reshape(-1, 3),
+                            meta=meta)
 
     return build
 

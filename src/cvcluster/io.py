@@ -10,9 +10,12 @@ CSV rows are encoded in bulk, as bytes with ``\n`` line ends on every
 platform. Each column's distinct floats (by bit pattern, so ``-0.0`` and
 ``0.0`` stay apart) get one NUL-padded field of ``_FIELD`` bytes each, whose
 last byte is its separator; a dataset of fewer than ``_FORMAT_MIN`` cells
-skips that dedup and gives every cell a field. A block of ``_CHUNK_ROWS``
-rows is its cells' fields without the NULs, so a large dataset never exists
-as one string on its way to disk.
+skips that dedup and gives every cell a field. The dedup is one ``argsort``
+of each column's bit patterns, whose sorted run starts are numbered by a
+``cumsum`` and scattered into a cell table of field ids: ``uint32`` below
+2**32 cells, else ``intp``. A block of ``_CHUNK_ROWS`` (2048) rows is its
+cells' fields without the NULs, so a large dataset never exists as one
+string on its way to disk.
 
 :func:`_format_slice` writes exactly ``format(x, '.17g')`` from numpy passes
 over ``_CHUNK_ROWS`` floats at a time, with IEEE +, -, *, floor and integer
@@ -42,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 2048
 _FLOAT_SPEC = ".17g"
 #: the fewest cells to dedup and distinct floats to format in numpy, the exponents of
 #: _format_tables (10**(16 - e) splits finitely), and Dekker's splitter
@@ -156,6 +159,13 @@ def _format_slice(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return exact
 
 
+def _cell_dtype(size: int) -> type:
+    """The dtype of the cell table of a dataset of ``size`` cells: ids into its floats."""
+    import numpy as np
+
+    return np.uint32 if size < 2**32 else np.intp
+
+
 def _header_config(dataset: CurveDataset, config: dict | None) -> dict:
     return {**dataset.meta, **(config or {}), "tag": dataset.tag}
 
@@ -174,11 +184,16 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[bytes]:
     if values.size < _FORMAT_MIN:  # every cell its own field, all from format()
         floats, cells = values.ravel(), np.arange(values.size).reshape(values.shape)
     else:  # each column's distinct floats (by bit pattern) once, in one table
-        parts, cells = [], np.empty(values.shape, np.intp)
+        parts, cells = [], np.empty(values.shape, _cell_dtype(values.size))
         for j, column in enumerate(values.T):
-            part, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-            cells[:, j] = inverse + sum(map(len, parts))
-            parts.append(part)
+            order = np.argsort(column.view(np.uint64))
+            bits = column.view(np.uint64)[order]
+            new = np.concatenate(([False], bits[1:] != bits[:-1]))
+            # a cell's id: the distinct floats before its own, this column's after the others'
+            cells[order, j] = np.cumsum(new, dtype=cells.dtype) + sum(map(len, parts))
+            new[0] = True
+            parts.append(bits[new])
+            del order, bits, new  # before the next column's argsort
         floats = np.concatenate(parts).view(float)
     fields = np.zeros((len(floats), _FIELD), np.uint8)
     inexact = np.ones(len(floats), bool)

@@ -34,6 +34,16 @@ def vacuum_moments():
     return ModeStats(0.0, 0.0, 1.0, 1.0, 0.0)
 
 
+def out_of_place_wigner(moments: ModeStats, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """W on the grid as one expression, each operation making a new array."""
+    det = moments.var_x * moments.var_y - moments.cov_xy * moments.cov_xy
+    inv00, inv11, inv01 = moments.var_y / det, moments.var_x / det, -moments.cov_xy / det
+    dx = (x - moments.mean_x)[:, None]
+    dy = (y - moments.mean_y)[None, :]
+    quad = inv00 * dx * dx + 2.0 * inv01 * dx * dy + inv11 * dy * dy
+    return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+
+
 def grid_integral(dataset: CurveDataset) -> float:
     x = np.unique(dataset.column("x"))
     y = np.unique(dataset.column("y"))
@@ -107,6 +117,14 @@ class TestWigner:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError):
                 fig8_dataset(grid_points=5, span=1.7e308)
+
+    def test_sheared_grid_bit_for_bit_as_out_of_place(self):
+        # cov_xy != 0 exercises the cross term the default panels leave at 0
+        moments = ModeStats(0.4, -1.1, 2.5, 0.7, -0.9)
+        x, y = np.linspace(-5.0, 6.0, 173), np.linspace(-4.0, 2.0, 211)
+        got, want = wigner(moments, x, y), out_of_place_wigner(moments, x, y)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
     def test_grid_validation(self):
         m = vacuum_moments()
@@ -222,6 +240,18 @@ class TestFig8:
     def test_grids_normalized(self, panels):
         for name, panel in panels.items():
             assert grid_integral(panel) == pytest.approx(1.0, abs=1e-3), name
+
+    def test_default_panels_bit_for_bit_as_out_of_place(self):
+        # each default panel's moments are its meta's mean and var, uncorrelated; rows run
+        # over y within x, as np.repeat(x) and np.tile(y) lay them out
+        for name, panel in fig8_dataset().items():
+            x, y = np.unique(panel.column("x")), np.unique(panel.column("y"))
+            assert x.size == y.size == 201, name
+            moments = ModeStats(*panel.meta["mean"], *panel.meta["var"], 0.0)
+            w = out_of_place_wigner(moments, x, y)
+            assert wigner(moments, x, y).tobytes() == w.tobytes(), name
+            want = np.column_stack((np.repeat(x, y.size), np.tile(y, x.size), w.ravel()))
+            assert panel.values.tobytes() == want.tobytes(), name
 
     def test_input_peaks_at_displacement(self, panels):
         for name, mean in (("input_control", 1.0), ("input_target", 2.0)):

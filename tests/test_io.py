@@ -25,7 +25,7 @@ import cvcluster.io
 from cvcluster import CurveDataset, format_float, write_dataset
 from cvcluster.analysis import fig8_dataset
 from cvcluster.cli import main as cli_main
-from cvcluster.io import (_CHUNK_ROWS, _FIELD, _FORMAT_MIN, _format_slice,
+from cvcluster.io import (_CHUNK_ROWS, _FIELD, _FORMAT_MIN, _cell_dtype, _format_slice,
                           _header_config, _writing_ahead, dataset_to_csv, dataset_to_json)
 
 
@@ -188,6 +188,31 @@ def value_arrays(draw):
     return full[:, ::2] if draw(st.booleans()) else full[:, :cols]
 
 
+def _chunk_rows_distinct(extra):
+    """One column of _CHUNK_ROWS + extra distinct floats, each twice, shuffled."""
+    rng = np.random.default_rng(13)
+    return rng.permutation(np.repeat(rng.normal(size=_CHUNK_ROWS + extra), 2))[:, None]
+
+
+def _shared_float():
+    """Two columns of 160 distinct floats each, each float twice; 0.25 is in both."""
+    pool = np.random.default_rng(14).normal(size=(160, 2))
+    pool[7, 0] = pool[11, 1] = 0.25
+    return np.tile(pool, (2, 1))
+
+
+#: Datasets of at least _FORMAT_MIN cells, by what their columns' dedup must get right.
+DEDUP_CASES = {
+    "one-repeated-value": lambda: np.full((_FORMAT_MIN + 1, 1), 0.1),
+    "all-distinct": lambda: np.random.default_rng(15).normal(size=(_FORMAT_MIN + 1, 1)),
+    # zeros alone, so 0.0 and -0.0 are next to each other in bit-pattern order
+    "signed-zeros": lambda: np.tile([0.0, -0.0, -0.0], _FORMAT_MIN)[:, None],
+    "float-shared-by-two-columns": _shared_float,
+    "chunk-rows-distinct": lambda: _chunk_rows_distinct(0),
+    "chunk-rows-plus-one-distinct": lambda: _chunk_rows_distinct(1),
+}
+
+
 class TestCsvEncoder:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(value_arrays())
@@ -260,6 +285,51 @@ class TestCsvEncoder:
         distinct = sum(len(np.unique(column)) for column in values.T)
         assert sum(formatted) == (distinct if min(values.size, distinct) >= _FORMAT_MIN else 0)
         assert (sum(formatted) > 0) == (cells == _FORMAT_MIN and one_row)
+
+    @pytest.mark.parametrize("case", DEDUP_CASES)
+    def test_dedup_cases(self, case, monkeypatch):
+        formatted = []
+
+        def spy(x, out):
+            formatted.append(x.copy())
+            return _format_slice(x, out)
+
+        monkeypatch.setattr(cvcluster.io, "_format_slice", spy)
+        values = DEDUP_CASES[case]()
+        assert values.size >= _FORMAT_MIN  # so the columns are deduped
+        dataset = CurveDataset(tag="t", columns=tuple(f"c{i}" for i in range(values.shape[1])),
+                               values=values)
+        assert_same_text(dataset_to_csv(dataset), reference_csv(dataset))
+        # numpy formats the table of each column's distinct bit patterns in ascending order,
+        # in slices of _CHUNK_ROWS, if it holds at least _FORMAT_MIN floats
+        table = np.concatenate([np.unique(column.view(np.uint64)) for column in values.T])
+        if len(table) < _FORMAT_MIN:
+            assert formatted == []
+        else:
+            assert [len(x) for x in formatted] == [
+                min(_CHUNK_ROWS, len(table) - i) for i in range(0, len(table), _CHUNK_ROWS)]
+            assert np.concatenate(formatted).view(np.uint64).tolist() == table.tolist()
+
+    @pytest.mark.parametrize("cells,dtype", [(_FORMAT_MIN, np.uint32), (2**32 - 1, np.uint32),
+                                             (2**32, np.intp), (2**40, np.intp)])
+    def test_cell_table_dtype_holds_every_field_id(self, cells, dtype):
+        # checked on the size alone: a table of 2**32 cells would take 16 GiB
+        assert _cell_dtype(cells) is dtype
+        assert np.iinfo(dtype).max >= cells - 1
+
+    def test_writing_a_default_panel_stays_small(self, tmp_path):
+        # the panel is held before the trace starts, so the peak is the encoder's own: about
+        # 2 MB here, where np.unique's temporaries and an intp cell table took it past 3.2 MB
+        panels = fig8_dataset().values()
+        write_dataset(next(iter(panels)), tmp_path / "warm.csv")  # one-time tables
+        for panel in panels:
+            tracemalloc.start()
+            try:
+                write_dataset(panel, tmp_path / "panel.csv")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.2e6, (panel.meta["panel"], peak)
 
     def test_many_cells_few_distinct_floats(self, monkeypatch):
         monkeypatch.setattr(cvcluster.io, "_format_slice", None)  # never called
