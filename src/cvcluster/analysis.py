@@ -195,12 +195,8 @@ def _wigner_panel(
     }
 
     def build() -> CurveDataset:
-        values = np.empty((x.size, y.size, 3))  # row i * y.size + j is x[i], y[j], W there
-        values[:, :, 0] = x[:, None]
-        values[:, :, 1] = y
-        values[:, :, 2] = wigner(moments, x, y)
-        return CurveDataset(tag="fig8", columns=("x", "y", "w"), values=values.reshape(-1, 3),
-                            meta=meta)
+        return CurveDataset(tag="fig8", columns=("x", "y", "w"), meta=meta,
+                            arrays=(x[:, None], y[None, :], wigner(moments, x, y)))
 
     return build
 

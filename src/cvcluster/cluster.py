@@ -56,7 +56,8 @@ def nullifier_variances(cluster: ClusterState, r: float) -> tuple[float, ...]:
     return tuple(n.variance(r) for n in nullifiers(cluster))
 
 
-#: Upper bound that each pairwise variance sum must stay below for the
+#: Upper bound on each pairwise variance sum of the full-inseparability witness
+#: (van Loock and Furusawa 2003): sums below it suffice, but are not needed, for the
 #: state to be fully inseparable.
 INSEPARABILITY_BOUND = 4.0
 

@@ -1,21 +1,26 @@
 """Datasets and their serialization: CSV with a JSON config header, or plain JSON.
 
-A :class:`CurveDataset` is a named table of finite floats. CSV files start
-with a single ``#``-prefixed line holding the fully resolved configuration
-as JSON, then a header row and one data row per sample. Floats are written
-with 17 significant digits so files round-trip exactly and repeated runs
-are byte-identical.
+A :class:`CurveDataset` is a named dataset of finite floats, held as one
+array per column; the arrays broadcast to one shape, whose cells in C order
+are the rows. A table's columns are 1-D; a Wigner panel's are ``x[:, None]``,
+``y[None, :]`` and its grid, so no table of its rows is built. CSV files
+start with a single ``#``-prefixed line holding the fully resolved
+configuration as JSON, then a header row and one data row per sample.
+Floats are written with 17 significant digits so files round-trip exactly
+and repeated runs are byte-identical.
 
 CSV rows are encoded in bulk, as bytes with ``\n`` line ends on every
 platform. Each column's distinct floats (by bit pattern, so ``-0.0`` and
 ``0.0`` stay apart) get one NUL-padded field of ``_FIELD`` bytes each, whose
 last byte is its separator; a dataset of fewer than ``_FORMAT_MIN`` cells
 skips that dedup and gives every cell a field. The dedup is one ``argsort``
-of each column's bit patterns, whose sorted run starts are numbered by a
-``cumsum`` and scattered into a cell table of field ids: ``uint32`` below
-2**32 cells, else ``intp``. A block of ``_CHUNK_ROWS`` (2048) rows is its
-cells' fields without the NULs, so a large dataset never exists as one
-string on its way to disk.
+of each column's bit patterns over the column's own array, whose sorted run
+starts are numbered by a ``cumsum`` and scattered into that column's field
+ids, in its array's shape: ``uint32`` below 2**32 cells, else ``intp``. A
+block is ``max(1, _CHUNK_ROWS // row length)`` (``_CHUNK_ROWS`` is 2048)
+whole rows of the leading axis, the fields of each column's ids broadcast
+over them without the NULs, so a large dataset never exists as one string
+on its way to disk.
 
 :func:`_format_slice` writes exactly ``format(x, '.17g')`` from numpy passes
 over ``_CHUNK_ROWS`` floats at a time, with IEEE +, -, *, floor and integer
@@ -24,7 +29,7 @@ do not depend on numpy's SIMD targets. One loop leaves to ``format`` zeros,
 magnitudes outside [1e-280, 1e280], values within 1e-6 of a rounding tie,
 and every field of a dataset with fewer than ``_FORMAT_MIN`` of them.
 
-numpy is imported by the dataset constructor and the CSV encoder
+numpy is imported by the dataset's methods and the CSV encoder
 themselves, so importing this module and :func:`format_float` cost no numpy
 import.
 """
@@ -35,10 +40,11 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -55,36 +61,64 @@ _FORMAT_MIN, _EXP_MAX, _SPLIT = 300, 284, 2.0**27 + 1
 _FIELD = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CurveDataset:
-    """A named, columnar dataset ready for serialization.
+    """A named dataset of finite floats, one array per column, ready for serialization.
 
-    ``values`` has one row per sample and one column per name in
-    ``columns``; all entries must be finite.
+    Its columns, one per name in ``columns``, come as a ``values`` table of one
+    row per sample or as ``arrays``. The arrays broadcast to one ``shape``,
+    whose cells in C order are the rows: a table's columns are 1-D, a Wigner
+    panel's are ``x[:, None]``, ``y[None, :]`` and its grid. ``values`` and
+    :meth:`column` copy the rows into a fresh array on each call.
     """
 
     tag: str
     columns: tuple[str, ...]
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
+    arrays: tuple[np.ndarray, ...]
+    shape: tuple[int, ...]
+    meta: dict
 
-    def __post_init__(self) -> None:
+    def __init__(self, tag: str, columns: Sequence[str], values: np.ndarray | None = None,
+                 meta: dict | None = None, *, arrays: Sequence[np.ndarray] | None = None) -> None:
         import numpy as np
 
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or not 0 < len(self.columns) == arr.shape[1]:
+        if (values is None) == (arrays is None):
+            raise TypeError("pass either a values table or column arrays")
+        if arrays is None:  # checked whole: a one-row table's columns cost more one by one
+            table = np.asarray(values, dtype=float)
+            arrays, shape = (tuple(table.T), table.shape[:1]) if table.ndim == 2 else ((), ())
+            finite = np.isfinite(table).all()
+        else:
+            arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
+            # (1,) makes a dataset of 0-d arrays one row
+            shape = np.broadcast_shapes((1,), *(a.shape for a in arrays))
+            finite = all(np.isfinite(a).all() for a in arrays)
+        if not 0 < len(columns) == len(arrays):
             raise ValueError("values need one column per name, and at least one column")
-        if len(set(self.columns)) < len(self.columns):
+        if len(set(columns)) < len(columns):
             raise ValueError("column names must differ")
-        if not np.all(np.isfinite(arr)):
+        if not finite:
             raise ValueError("dataset contains non-finite entries")
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "columns", tuple(self.columns))
+        for name, value in zip(self.__dataclass_fields__,
+                               (tag, tuple(columns), arrays, shape, {} if meta is None else meta)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The rows as a table, one column per name."""
+        import numpy as np
+
+        table = np.empty((*self.shape, len(self.arrays)))
+        for j, array in enumerate(self.arrays):
+            table[..., j] = array
+        return table.reshape(-1, len(self.arrays))
 
     def column(self, name: str) -> np.ndarray:
+        import numpy as np
+
         if name not in self.columns:
             raise KeyError(f"unknown column {name!r}")
-        return self.values[:, self.columns.index(name)]
+        return np.broadcast_to(self.arrays[self.columns.index(name)], self.shape).flatten()
 
 
 def format_float(value: float) -> str:
@@ -160,7 +194,7 @@ def _format_slice(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _cell_dtype(size: int) -> type:
-    """The dtype of the cell table of a dataset of ``size`` cells: ids into its floats."""
+    """The dtype of the field ids of a dataset of ``size`` cells: ids into its floats."""
     import numpy as np
 
     return np.uint32 if size < 2**32 else np.intp
@@ -180,21 +214,29 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[bytes]:
 
     header = ("# " + json.dumps(_header_config(dataset, config), sort_keys=True) + "\n"
               + ",".join(dataset.columns) + "\n")
-    values = dataset.values
-    if values.size < _FORMAT_MIN:  # every cell its own field, all from format()
-        floats, cells = values.ravel(), np.arange(values.size).reshape(values.shape)
+    shape, width = dataset.shape, len(dataset.arrays)
+    cells = math.prod(shape) * width
+    # ids: each column's field ids, in a shape that broadcasts to the dataset's
+    if cells < _FORMAT_MIN:  # every cell its own field, all from format()
+        floats = dataset.values.ravel()
+        ids = list(np.arange(cells).reshape(-1, width).T.reshape(width, *shape))
     else:  # each column's distinct floats (by bit pattern) once, in one table
-        parts, cells = [], np.empty(values.shape, _cell_dtype(values.size))
-        for j, column in enumerate(values.T):
-            order = np.argsort(column.view(np.uint64))
-            bits = column.view(np.uint64)[order]
-            new = np.concatenate(([False], bits[1:] != bits[:-1]))
-            # a cell's id: the distinct floats before its own, this column's after the others'
-            cells[order, j] = np.cumsum(new, dtype=cells.dtype) + sum(map(len, parts))
-            new[0] = True
-            parts.append(bits[new])
-            del order, bits, new  # before the next column's argsort
+        parts, ids = [], []
+        for column in dataset.arrays:
+            bits, start = column.view(np.uint64).reshape(-1), sum(map(len, parts))
+            # the ids come first, below the argsort's transients in the heap, which then shrinks
+            ids.append(np.empty(column.shape, _cell_dtype(cells)))
+            order = np.argsort(bits)
+            bits = bits[order]
+            first = np.concatenate(([True], bits[1:] != bits[:-1]))  # of a run of equal bits
+            parts.append(bits[first])
+            del bits
+            first[0] = False
+            # a float's id: the distinct floats before its own, this column's after the others'
+            ids[-1].reshape(-1)[order] = np.cumsum(first, dtype=ids[-1].dtype) + start
+            del order, first  # before the next column's argsort
         floats = np.concatenate(parts).view(float)
+        del parts
     fields = np.zeros((len(floats), _FIELD), np.uint8)
     inexact = np.ones(len(floats), bool)
     if len(floats) >= _FORMAT_MIN:
@@ -207,9 +249,15 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[bytes]:
     fields[:, -1] = ord(",")
 
     def blocks() -> Iterator[bytes]:
-        for start in range(0, len(cells), _CHUNK_ROWS):
-            block = fields.take(cells[start:start + _CHUNK_ROWS], axis=0)
-            block[:, -1, -1] = ord("\n")
+        cell_ids = [c if c.shape == shape else np.broadcast_to(c, shape) for c in ids]
+        step = max(1, _CHUNK_ROWS // max(1, math.prod(shape[1:])))  # whole leading-axis rows
+        block_ids = np.empty((min(step, shape[0]), *shape[1:], width), ids[0].dtype)
+        for start in range(0, shape[0], step):
+            rows = block_ids[:shape[0] - start]
+            for j, column_ids in enumerate(cell_ids):
+                rows[..., j] = column_ids[start:start + step]
+            block = fields.take(rows, axis=0)
+            block[..., -1, -1] = ord("\n")
             yield block.tobytes().translate(None, b"\0")
 
     return itertools.chain((header.encode(),), blocks())

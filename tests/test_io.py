@@ -1,6 +1,7 @@
 """Dataset serialization: headers, float round-trip, format switching."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 import cvcluster.cli
 import cvcluster.io
 from cvcluster import CurveDataset, format_float, write_dataset
-from cvcluster.analysis import fig8_dataset
+from cvcluster.analysis import _fig8_panels, fig8_dataset
 from cvcluster.cli import main as cli_main
 from cvcluster.io import (_CHUNK_ROWS, _FIELD, _FORMAT_MIN, _cell_dtype, _format_slice,
                           _header_config, _writing_ahead, dataset_to_csv, dataset_to_json)
@@ -201,7 +202,29 @@ def _shared_float():
     return np.tile(pool, (2, 1))
 
 
-#: Datasets of at least _FORMAT_MIN cells, by what their columns' dedup must get right.
+def _grid(nx, ny, seed=16):
+    """A panel's columns x[:, None], y[None, :] and an nx x ny grid, from a few floats."""
+    rng = np.random.default_rng(seed)
+    w = rng.choice(rng.normal(size=max(2, nx * ny // 3)), size=(nx, ny))
+    return np.sort(rng.normal(size=nx))[:, None], np.sort(rng.normal(size=ny))[None, :], w
+
+
+def _signed_zero_axes():
+    """Axes holding 0.0, -0.0 and a repeated value, over a grid of them and a few floats."""
+    x = np.array([-1.5, -0.0, 0.0, 0.0, 2.0, -0.0] * 5)
+    y = np.array([0.0, 0.25, 0.25, -0.0, 3.0] * 4)
+    w = np.random.default_rng(17).choice([0.0, -0.0, 0.25, 1.0 / 3.0], size=(x.size, y.size))
+    return x[:, None], y[None, :], w
+
+
+def _default_panel(name):
+    panel = _fig8_panels()[name]()
+    assert panel.shape == (201, 201)
+    return panel.arrays
+
+
+#: Tables, or a grid's column arrays, of at least _FORMAT_MIN cells, by what their dedup
+#: must get right.
 DEDUP_CASES = {
     "one-repeated-value": lambda: np.full((_FORMAT_MIN + 1, 1), 0.1),
     "all-distinct": lambda: np.random.default_rng(15).normal(size=(_FORMAT_MIN + 1, 1)),
@@ -210,7 +233,52 @@ DEDUP_CASES = {
     "float-shared-by-two-columns": _shared_float,
     "chunk-rows-distinct": lambda: _chunk_rows_distinct(0),
     "chunk-rows-plus-one-distinct": lambda: _chunk_rows_distinct(1),
+    # each column over its own array: 201 + 201 floats of the axes and W's distinct ones
+    "default-panel": lambda: _default_panel("output_control_r1"),
+    "grid-signed-zeros-and-repeats": _signed_zero_axes,
 }
+
+
+@st.composite
+def column_arrays(draw):
+    """1-4 column arrays that broadcast to an n x m grid: each n x m, n x 1, 1 x m or m long."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    pool = draw(st.lists(FINITE, min_size=1, max_size=4))
+    elements = draw(st.sampled_from((FINITE, st.sampled_from(pool))))
+    shapes = st.sampled_from([(n, m), (n, 1), (1, m), (m,)])
+    return [draw(hnp.arrays(np.float64, shape, elements=elements))
+            for shape in draw(st.lists(shapes, min_size=1, max_size=4))]
+
+
+#: Column arrays of a grid, by what encoding them in blocks of whole grid rows must get right.
+GRID_CASES = {
+    **{f"default-{name}": functools.partial(_default_panel, name) for name in _fig8_panels()},
+    "1xn": lambda: _grid(1, 150),
+    "nx1": lambda: _grid(150, 1),
+    "rows-longer-than-chunk-rows": lambda: _grid(2, 3000),
+    "signed-zeros-and-repeats": _signed_zero_axes,
+    "format-min-less-one-cells": lambda: _grid(9, 11),
+    "format-min-cells": lambda: _grid(10, 10),
+}
+
+
+def assert_forms_agree(arrays, columns):
+    """The column form of ``arrays`` gives the values, columns and bytes of its table."""
+    table = np.stack([a.ravel() for a in np.broadcast_arrays(*arrays)], axis=-1)
+    grid = CurveDataset(tag="t", columns=columns, arrays=arrays, meta={"m": 1})
+    rows = CurveDataset(tag="t", columns=columns, values=table, meta={"m": 1})
+    for dataset in (grid, rows):
+        assert dataset.values.shape == table.shape
+        assert dataset.values.tobytes() == table.tobytes()
+        for j, name in enumerate(columns):
+            assert dataset.column(name).tobytes() == table[:, j].tobytes()
+    text = dataset_to_csv(grid, {"k": 2})
+    assert_same_text(text, dataset_to_csv(rows, {"k": 2}))
+    assert dataset_to_json(grid, {"k": 2}) == dataset_to_json(rows, {"k": 2})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_dataset(grid, Path(tmp) / "d.csv", "csv", {"k": 2})
+        assert_same_text(path.read_bytes(), text.encode())
+    return rows
 
 
 class TestCsvEncoder:
@@ -232,6 +300,49 @@ class TestCsvEncoder:
             with tempfile.TemporaryDirectory() as tmp:
                 path = write_dataset(dataset, Path(tmp) / "d.csv", "csv", {"k": 2})
                 assert_same_text(path.read_bytes(), text.encode())
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(column_arrays())
+    @example([np.array([[0.0], [-0.0]]), np.array([-0.0, 0.0, 5e-324]), np.zeros((1, 3))])
+    def test_column_form_matches_per_float_encoder(self, arrays):
+        rows = assert_forms_agree(arrays, tuple(f"c{i}" for i in range(len(arrays))))
+        assert_same_text(dataset_to_csv(rows, {"k": 2}), reference_csv(rows, {"k": 2}))
+
+    @pytest.mark.parametrize("case", GRID_CASES)
+    def test_grid_columns_match_their_table(self, case):
+        assert_forms_agree(GRID_CASES[case](), ("x", "y", "w"))
+
+    @pytest.mark.parametrize("columns,arrays", [
+        (("x", "y", "w"), _grid(3, 4)[:2] + (np.full((3, 4), np.inf),)),
+        (("x", "y"), _grid(3, 4)),
+        (("x", "y", "w", "v"), _grid(3, 4)),
+        (("x", "y", "x"), _grid(3, 4)),
+    ])
+    def test_column_form_fails_like_table_form(self, columns, arrays):
+        table = np.stack([a.ravel() for a in np.broadcast_arrays(*arrays)], axis=-1)
+        with pytest.raises(ValueError) as by_rows:
+            CurveDataset(tag="t", columns=columns, values=table)
+        with pytest.raises(ValueError, match=str(by_rows.value)):
+            CurveDataset(tag="t", columns=columns, arrays=arrays)
+
+    def test_columns_broadcast_to_one_shape(self):
+        with pytest.raises(ValueError):
+            CurveDataset(tag="t", columns=("a", "b"), arrays=(np.zeros(3), np.zeros(4)))
+        for both in ({}, {"values": np.zeros((3, 2)), "arrays": (np.zeros(3),) * 2}):
+            with pytest.raises(TypeError):
+                CurveDataset(tag="t", columns=("a", "b"), **both)
+
+    @pytest.mark.parametrize("nx,ny", [(201, 201), (2, 3000), (3000, 1)])
+    def test_blocks_hold_whole_grid_rows(self, nx, ny, monkeypatch):
+        # max(1, _CHUNK_ROWS // ny) grid rows to a block: 10 of 201, one of 3000
+        sizes = []
+        blocks = cvcluster.io._csv_blocks
+        monkeypatch.setattr(cvcluster.io, "_csv_blocks", lambda *args: (
+            sizes.append(block.count(b"\n")) or block for block in blocks(*args)))
+        dataset = CurveDataset(tag="t", columns=("x", "y", "w"), arrays=_grid(nx, ny))
+        dataset_to_csv(dataset)
+        step = max(1, _CHUNK_ROWS // ny)
+        assert sizes[1:] == [min(step, nx - i) * ny for i in range(0, nx, step)]
 
     def test_blocks_join_seamlessly(self, tmp_path):
         # with one column every separator is a newline, so the seams differ
@@ -296,13 +407,16 @@ class TestCsvEncoder:
 
         monkeypatch.setattr(cvcluster.io, "_format_slice", spy)
         values = DEDUP_CASES[case]()
-        assert values.size >= _FORMAT_MIN  # so the columns are deduped
-        dataset = CurveDataset(tag="t", columns=tuple(f"c{i}" for i in range(values.shape[1])),
-                               values=values)
+        arrays = values if isinstance(values, tuple) else tuple(values.T)
+        columns = tuple(f"c{i}" for i in range(len(arrays)))
+        dataset = (CurveDataset(tag="t", columns=columns, arrays=arrays)
+                   if isinstance(values, tuple) else
+                   CurveDataset(tag="t", columns=columns, values=values))
+        assert dataset.values.size >= _FORMAT_MIN  # so the columns are deduped
         assert_same_text(dataset_to_csv(dataset), reference_csv(dataset))
         # numpy formats the table of each column's distinct bit patterns in ascending order,
         # in slices of _CHUNK_ROWS, if it holds at least _FORMAT_MIN floats
-        table = np.concatenate([np.unique(column.view(np.uint64)) for column in values.T])
+        table = np.concatenate([np.unique(column.view(np.uint64)) for column in arrays])
         if len(table) < _FORMAT_MIN:
             assert formatted == []
         else:
@@ -330,6 +444,20 @@ class TestCsvEncoder:
             finally:
                 tracemalloc.stop()
             assert peak < 3.2e6, (panel.meta["panel"], peak)
+
+    def test_building_and_writing_a_large_panel_stays_small(self, tmp_path):
+        # the panel holds W (8 bytes a point) and the encoder its field ids (4), one argsort's
+        # transients and its distinct floats' fields: 32-35 bytes a point here, where a table
+        # of rows took 61-63
+        write_dataset(_fig8_panels(grid_points=5)["input_control"](), tmp_path / "warm.csv")
+        build = _fig8_panels(grid_points=601)["output_control_r1"]  # the most distinct floats
+        tracemalloc.start()
+        try:
+            write_dataset(build(), tmp_path / "panel.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 44 * 601**2, peak
 
     def test_many_cells_few_distinct_floats(self, monkeypatch):
         monkeypatch.setattr(cvcluster.io, "_format_slice", None)  # never called
@@ -628,10 +756,11 @@ class TestWritingAhead:
     def test_figures_hold_one_panel_at_a_time(self, tmp_path, monkeypatch, cpus):
         # this process builds each of its own datasets just before its write and drops it
         # after it, and none of a child's, so the peak is one panel's encoding plus about one
-        # panel; holding all six adds five panels, a child's three on two CPUs
+        # panel, its axes and its W grid; holding all six adds five panels, a child's three on
+        # two CPUs
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: cpus)
         panels = list(fig8_dataset(grid_points=101).values())
-        panel_bytes = max(panel.values.nbytes for panel in panels)
+        panel_bytes = max(sum(a.nbytes for a in panel.arrays) for panel in panels)
         encode_peak = 0
         for panel in panels:
             tracemalloc.start()
