@@ -9,18 +9,27 @@ configuration as JSON, then a header row and one data row per sample.
 Floats are written with 17 significant digits so files round-trip exactly
 and repeated runs are byte-identical.
 
-CSV rows are encoded in bulk, as bytes with ``\n`` line ends on every
-platform. Each column's distinct floats (by bit pattern, so ``-0.0`` and
-``0.0`` stay apart) get one NUL-padded field of ``_FIELD`` bytes each, whose
-last byte is its separator; a dataset of fewer than ``_FORMAT_MIN`` cells
-skips that dedup and gives every cell a field. The dedup is one ``argsort``
-of each column's bit patterns over the column's own array, whose sorted run
-starts are numbered by a ``cumsum`` and scattered into that column's field
-ids, in its array's shape: ``uint32`` below 2**32 cells, else ``intp``. A
-block is ``max(1, _CHUNK_ROWS // row length)`` (``_CHUNK_ROWS`` is 2048)
-whole rows of the leading axis, the fields of each column's ids broadcast
-over them without the NULs, so a large dataset never exists as one string
-on its way to disk.
+Both formats reach disk as blocks of bytes, with ``\n`` line ends on every
+platform, so a large dataset never exists as one string on its way there.
+A dataset of fewer than ``_FORMAT_MIN`` cells is one block of
+:func:`format_float` text. In larger CSV files, each column's distinct
+floats (by bit pattern, so ``-0.0`` and ``0.0`` stay apart) get one
+NUL-padded field of ``_FIELD`` bytes each, whose last byte is its
+separator. The dedup is one ``argsort`` of each column's bit patterns over
+the column's own array, whose sorted run starts are numbered by a
+``cumsum`` and scattered into that column's field ids, in its array's
+shape: ``uint32`` below 2**32 cells, else ``intp``. A block is ``max(1,
+_CHUNK_ROWS // row length)`` (``_CHUNK_ROWS`` is 2048) whole rows of the
+leading axis, the fields of each column's ids broadcast over them without
+the NULs.
+
+A JSON file is ``json.dumps`` of the document, keys sorted, plus ``\n``,
+written as its head up to the rows' opening bracket, then ``_CHUNK_ROWS``
+rows at a time dumped from Python lists, then the tag. It holds the
+dataset's table of rows and one block, not the whole document: a 401²
+Wigner panel's build and write peak near 39 bytes a point under
+``tracemalloc``, and ``figures --grid 401 --format json`` peaks as its CSV
+run does (36 / 30 MB ``ru_maxrss``, caller / child, on 2 CPUs).
 
 :func:`_format_slice` writes exactly ``format(x, '.17g')`` from numpy passes
 over ``_CHUNK_ROWS`` floats at a time, with IEEE +, -, *, floor and integer
@@ -29,9 +38,8 @@ do not depend on numpy's SIMD targets. One loop leaves to ``format`` zeros,
 magnitudes outside [1e-280, 1e280], values within 1e-6 of a rounding tie,
 and every field of a dataset with fewer than ``_FORMAT_MIN`` of them.
 
-numpy is imported by the dataset's methods and the CSV encoder
-themselves, so importing this module and :func:`format_float` cost no numpy
-import.
+numpy is imported by the dataset's methods and the encoders themselves, so
+importing this module and :func:`format_float` cost no numpy import.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,7 +69,7 @@ _FORMAT_MIN, _EXP_MAX, _SPLIT = 300, 284, 2.0**27 + 1
 _FIELD = 32
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class CurveDataset:
     """A named dataset of finite floats, one array per column, ready for serialization.
 
@@ -213,30 +221,30 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[bytes]:
     import numpy as np
 
     header = ("# " + json.dumps(_header_config(dataset, config), sort_keys=True) + "\n"
-              + ",".join(dataset.columns) + "\n")
+              + ",".join(dataset.columns) + "\n").encode()
     shape, width = dataset.shape, len(dataset.arrays)
     cells = math.prod(shape) * width
-    # ids: each column's field ids, in a shape that broadcasts to the dataset's
-    if cells < _FORMAT_MIN:  # every cell its own field, all from format()
-        floats = dataset.values.ravel()
-        ids = list(np.arange(cells).reshape(-1, width).T.reshape(width, *shape))
-    else:  # each column's distinct floats (by bit pattern) once, in one table
-        parts, ids = [], []
-        for column in dataset.arrays:
-            bits, start = column.view(np.uint64).reshape(-1), sum(map(len, parts))
-            # the ids come first, below the argsort's transients in the heap, which then shrinks
-            ids.append(np.empty(column.shape, _cell_dtype(cells)))
-            order = np.argsort(bits)
-            bits = bits[order]
-            first = np.concatenate(([True], bits[1:] != bits[:-1]))  # of a run of equal bits
-            parts.append(bits[first])
-            del bits
-            first[0] = False
-            # a float's id: the distinct floats before its own, this column's after the others'
-            ids[-1].reshape(-1)[order] = np.cumsum(first, dtype=ids[-1].dtype) + start
-            del order, first  # before the next column's argsort
-        floats = np.concatenate(parts).view(float)
-        del parts
+    if cells < _FORMAT_MIN:  # one block of text
+        text = "".join(",".join(map(format_float, row)) + "\n" for row in dataset.values.tolist())
+        return iter((header, text.encode()))
+    # each column's distinct floats (by bit pattern) once, in one table, and its field ids,
+    # in its array's shape
+    parts, ids = [], []
+    for column in dataset.arrays:
+        bits, start = column.view(np.uint64).reshape(-1), sum(map(len, parts))
+        # the ids come first, below the argsort's transients in the heap, which then shrinks
+        ids.append(np.empty(column.shape, _cell_dtype(cells)))
+        order = np.argsort(bits)
+        bits = bits[order]
+        first = np.concatenate(([True], bits[1:] != bits[:-1]))  # of a run of equal bits
+        parts.append(bits[first])
+        del bits
+        first[0] = False
+        # a float's id: the distinct floats before its own, this column's after the others'
+        ids[-1].reshape(-1)[order] = np.cumsum(first, dtype=ids[-1].dtype) + start
+        del order, first  # before the next column's argsort
+    floats = np.concatenate(parts).view(float)
+    del parts
     fields = np.zeros((len(floats), _FIELD), np.uint8)
     inexact = np.ones(len(floats), bool)
     if len(floats) >= _FORMAT_MIN:
@@ -260,7 +268,27 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[bytes]:
             block[..., -1, -1] = ord("\n")
             yield block.tobytes().translate(None, b"\0")
 
-    return itertools.chain((header.encode(),), blocks())
+    return itertools.chain((header,), blocks())
+
+
+def _json_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[bytes]:
+    """The bytes of ``json.dumps`` of the document, keys sorted, in pieces: the head
+    up to the rows' opening bracket, blocks of ``_CHUNK_ROWS`` rows, then the tail.
+
+    The head is built before this returns, so an encoding error of the config
+    surfaces before any file is opened.
+    """
+    head = {"columns": list(dataset.columns), "config": _header_config(dataset, config)}
+    head_text = json.dumps(head, sort_keys=True)[:-1] + ', "rows": ['
+    rows = dataset.values
+
+    def blocks() -> Iterator[bytes]:
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            text = json.dumps(rows[i:i + _CHUNK_ROWS].tolist())[1:-1]
+            yield (", " + text if i else text).encode()
+        yield ("], " + json.dumps({"tag": dataset.tag})[1:] + "\n").encode()
+
+    return itertools.chain((head_text.encode(),), blocks())
 
 
 def dataset_to_csv(dataset: CurveDataset, config: dict | None = None) -> str:
@@ -268,13 +296,7 @@ def dataset_to_csv(dataset: CurveDataset, config: dict | None = None) -> str:
 
 
 def dataset_to_json(dataset: CurveDataset, config: dict | None = None) -> str:
-    doc = {
-        "config": _header_config(dataset, config),
-        "tag": dataset.tag,
-        "columns": list(dataset.columns),
-        "rows": dataset.values.tolist(),
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return b"".join(_json_blocks(dataset, config)).decode()
 
 
 def write_dataset(
@@ -286,12 +308,9 @@ def write_dataset(
     """Serialize a dataset to ``path`` and return the path; ``None`` writes nothing."""
     if dataset is None:
         return Path(path)
-    if fmt == "csv":
-        blocks: Iterable[bytes] = _csv_blocks(dataset, config)
-    elif fmt == "json":
-        blocks = (dataset_to_json(dataset, config).encode(),)
-    else:
+    if fmt not in ("csv", "json"):
         raise ValueError("fmt must be 'csv' or 'json'")
+    blocks = (_csv_blocks if fmt == "csv" else _json_blocks)(dataset, config)
     with open(path, "wb") as handle:
         handle.writelines(blocks)
     return Path(path)

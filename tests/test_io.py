@@ -281,6 +281,19 @@ def assert_forms_agree(arrays, columns):
     return rows
 
 
+def panel_write_peak(tmp_path, fmt, grid):
+    """The ``tracemalloc`` peak of building and writing a grid² panel, in bytes a point."""
+    # one-time tables first, so that the peak is this panel's
+    write_dataset(_fig8_panels(grid_points=5)["input_control"](), tmp_path / "warm", fmt)
+    build = _fig8_panels(grid_points=grid)["output_control_r1"]  # the most distinct floats
+    tracemalloc.start()
+    try:
+        write_dataset(build(), tmp_path / "panel", fmt)
+        return tracemalloc.get_traced_memory()[1] / grid**2
+    finally:
+        tracemalloc.stop()
+
+
 class TestCsvEncoder:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(value_arrays())
@@ -449,15 +462,8 @@ class TestCsvEncoder:
         # the panel holds W (8 bytes a point) and the encoder its field ids (4), one argsort's
         # transients and its distinct floats' fields: 32-35 bytes a point here, where a table
         # of rows took 61-63
-        write_dataset(_fig8_panels(grid_points=5)["input_control"](), tmp_path / "warm.csv")
-        build = _fig8_panels(grid_points=601)["output_control_r1"]  # the most distinct floats
-        tracemalloc.start()
-        try:
-            write_dataset(build(), tmp_path / "panel.csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 44 * 601**2, peak
+        peak = panel_write_peak(tmp_path, "csv", 601)
+        assert peak < 44, peak
 
     def test_many_cells_few_distinct_floats(self, monkeypatch):
         monkeypatch.setattr(cvcluster.io, "_format_slice", None)  # never called
@@ -478,6 +484,38 @@ class TestCsvEncoder:
         with pytest.raises(ValueError):
             CurveDataset(tag="t", columns=columns, values=np.zeros(shape))
 
+    def test_datasets_compare_by_identity(self):
+        # equal fields compared as a tuple would ask numpy arrays for one truth value
+        a, b = (CurveDataset(tag="t", columns=("a", "b"), values=np.zeros((3, 2)), meta={"m": 1})
+                for _ in range(2))
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
+
+
+def reference_json(dataset, config=None):
+    """The whole document as one ``json.dumps``, keys sorted."""
+    doc = {"config": _header_config(dataset, config), "tag": dataset.tag,
+           "columns": list(dataset.columns), "rows": dataset.values.tolist()}
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _table(rows, columns=3):
+    values = np.random.default_rng(rows).normal(size=(rows, columns))
+    return CurveDataset(tag="t", columns=tuple("abc"[:columns]), values=values, meta={"m": 1})
+
+
+#: Datasets whose rows fall on each side of a block seam, or hold floats whose text is
+#: extreme, with the config to write them with.
+JSON_CASES = {
+    **{f"{rows}-rows": (lambda rows=rows: _table(rows), {"k": 2})
+       for rows in (0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1)},
+    "broadcast-panel": (lambda: _fig8_panels(grid_points=51)["output_control_r1"](), None),
+    "special-floats": (lambda: CurveDataset(
+        tag="t", columns=("a", "b"),
+        values=np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.0]])), {"k": -0.0}),
+    "non-ascii-config": (lambda: _table(2, 1), {"label": "Wigner W(x, p) · η = ½", "ü": "✓"}),
+}
+
 
 class TestJson:
     def test_document_shape(self, dataset):
@@ -486,6 +524,22 @@ class TestJson:
         assert doc["columns"] == ["a", "b"]
         assert doc["rows"][0] == [0.0, 0.5]
         assert doc["config"]["note"] == "x"
+
+    @pytest.mark.parametrize("case", JSON_CASES)
+    def test_blocks_join_to_one_json_dumps(self, case, tmp_path):
+        build, config = JSON_CASES[case]
+        dataset = build()
+        want = reference_json(dataset, config)
+        assert_same_text(dataset_to_json(dataset, config), want)
+        path = write_dataset(dataset, tmp_path / "d.json", "json", config)
+        assert_same_text(path.read_bytes(), want.encode())
+
+    def test_building_and_writing_a_large_panel_stays_small(self, tmp_path):
+        # the panel holds W (8 bytes a point), the encoder its table of rows (24) and one
+        # block of them as Python lists and text: about 39 bytes a point, where the whole
+        # document as lists and one string took 298
+        peak = panel_write_peak(tmp_path, "json", 401)
+        assert peak < 48, peak
 
 
 class TestWriteDataset:
@@ -565,7 +619,7 @@ class TestWritingAhead:
     def test_bytes_match_write_dataset(self, tmp_path, monkeypatch, forks, fmt, cpus):
         monkeypatch.setattr(cvcluster.io, "_cpus", lambda: cpus)
         encoded = []
-        for name in ("_csv_blocks", "dataset_to_json"):
+        for name in ("_csv_blocks", "_json_blocks"):
             encoder = getattr(cvcluster.io, name)
             monkeypatch.setattr(cvcluster.io, name,
                                 lambda *args, f=encoder: encoded.append(1) or f(*args))
