@@ -106,7 +106,7 @@ def fig3_dataset(
     return CurveDataset(
         tag="fig3",
         columns=("r", "r_prime", "s0_min", "s1_min"),
-        values=np.array(rows),
+        arrays=np.array(rows).T,
         meta={"criterion": criterion,
               "r_grid": [float(rs[0]), float(rs[-1]), int(rs.size)],
               "rprime_grid": [float(rps[0]), float(rps[-1]), int(rps.size)]},
@@ -116,11 +116,10 @@ def fig3_dataset(
 def fig4_dataset(r_grid: Iterable[float]) -> CurveDataset:
     """Coherent-state propagation fidelity versus squeezing."""
     rs = _as_grid("r_grid", r_grid)
-    rows = [(r, identity_fidelity(r)) for r in rs]
     return CurveDataset(
         tag="fig4",
         columns=("r", "fidelity"),
-        values=np.array(rows),
+        arrays=(rs, [identity_fidelity(r) for r in rs]),
         meta={"input": "coherent", "gains": "optimal"},
     )
 
@@ -145,7 +144,7 @@ def _phi_curves(
     curves = [rotated_output_variances(p, r, grid) for p, r in params]
     names = [f"{column}_{_label(v)}" for v in vals] + ["snl"] * snl
     return CurveDataset(tag=tag, columns=("phi", *names),
-                        values=np.column_stack([phis, *curves] + [np.ones_like(phis)] * snl),
+                        arrays=(phis, *curves, *[1.0] * snl),
                         meta={**meta, key: vals, "input": "coherent"})
 
 

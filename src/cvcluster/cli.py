@@ -203,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise UsageError("config file nests too deeply") from None
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer of too many digits
         raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
@@ -369,7 +369,7 @@ def _run_gate(
             columns = (*row[0], *stats, *row[1])
             values = {**cfg, **results}
             dataset = CurveDataset(tag=command, columns=columns,
-                                   values=[[values[c] for c in columns]])
+                                   arrays=[values[c] for c in columns])
         try:
             write_dataset(dataset, cfg["out"], cfg["format"], resolved)
         except OSError as exc:
@@ -455,8 +455,6 @@ def cmd_squeeze(cfg: dict) -> int:
         after["v_at_phi"] = rotated_output_variance(params, r, cfg["phi"])
     scan = None
     if cfg["scan_phi"]:
-        import numpy as np
-
         step = math.pi / (cfg["grid"] - 1)
         phis = [i * step for i in range(cfg["grid"] - 1)] + [math.pi]
         vs = rotated_output_variances(params, r, phis)
@@ -464,8 +462,7 @@ def cmd_squeeze(cfg: dict) -> int:
         after["scan_min_v"] = vs[best]
         after["scan_min_phi"] = phis[best]
         after["scan_max_v"] = max(vs)
-        scan = CurveDataset(tag="squeeze_scan", columns=("phi", "v"),
-                            values=np.column_stack((phis, vs)))
+        scan = CurveDataset(tag="squeeze_scan", columns=("phi", "v"), arrays=(phis, vs))
     return _run_gate("squeeze", cfg, result, after,
                      row=(("r", "theta", "tan_theta"), ()), extra=extra, dataset=scan)
 

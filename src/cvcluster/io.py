@@ -1,13 +1,14 @@
 """Datasets and their serialization: CSV with a JSON config header, or plain JSON.
 
-A :class:`CurveDataset` is a named dataset of finite floats, held as one
-array per column; the arrays broadcast to one shape, whose cells in C order
-are the rows. A table's columns are 1-D; a Wigner panel's are ``x[:, None]``,
-``y[None, :]`` and its grid, so no table of its rows is built. CSV files
-start with a single ``#``-prefixed line holding the fully resolved
-configuration as JSON, then a header row and one data row per sample.
-Floats are written with 17 significant digits so files round-trip exactly
-and repeated runs are byte-identical.
+A :class:`CurveDataset` is a named dataset of finite floats, built from one
+array per column and held as such; the arrays broadcast to one shape, whose
+cells in C order are the rows. A table's columns are 1-D (a scalar repeats
+over the rows); a Wigner panel's are ``x[:, None]``, ``y[None, :]`` and its
+grid, so no table of its rows is built. CSV files start with a single
+``#``-prefixed line holding the fully resolved configuration as JSON, then a
+header row and one data row per sample. Floats are written with 17
+significant digits so files round-trip exactly and repeated runs are
+byte-identical.
 
 Both formats reach disk as blocks of bytes, with ``\n`` line ends on every
 platform, so a large dataset never exists as one string on its way there.
@@ -20,8 +21,8 @@ the column's own array, whose sorted run starts are numbered by a
 ``cumsum`` and scattered into that column's field ids, in its array's
 shape: ``uint32`` below 2**32 cells, else ``intp``. A block is ``max(1,
 _CHUNK_ROWS // row length)`` (``_CHUNK_ROWS`` is 2048) whole rows of the
-leading axis, the fields of each column's ids broadcast over them without
-the NULs.
+leading axis: the fields of the columns' ids, broadcast over those rows and
+stacked, without the NULs.
 
 A JSON file is ``json.dumps`` of the document, keys sorted, plus ``\n``,
 written as its head up to the rows' opening bracket, then ``_CHUNK_ROWS``
@@ -35,8 +36,7 @@ run does (36 / 30 MB ``ru_maxrss``, caller / child, on 2 CPUs).
 over ``_CHUNK_ROWS`` floats at a time, with IEEE +, -, *, floor and integer
 operations only (Dekker's exact product, round half to even), so its bytes
 do not depend on numpy's SIMD targets. One loop leaves to ``format`` zeros,
-magnitudes outside [1e-280, 1e280], values within 1e-6 of a rounding tie,
-and every field of a dataset with fewer than ``_FORMAT_MIN`` of them.
+magnitudes outside [1e-280, 1e280] and values within 1e-6 of a rounding tie.
 
 numpy is imported by the dataset's methods and the encoders themselves, so
 importing this module and :func:`format_float` cost no numpy import.
@@ -61,7 +61,7 @@ if TYPE_CHECKING:
 
 _CHUNK_ROWS = 2048
 _FLOAT_SPEC = ".17g"
-#: the fewest cells to dedup and distinct floats to format in numpy, the exponents of
+#: the fewest cells to dedup and format in numpy, the exponents of
 #: _format_tables (10**(16 - e) splits finitely), and Dekker's splitter
 _FORMAT_MIN, _EXP_MAX, _SPLIT = 300, 284, 2.0**27 + 1
 #: bytes per float: every '.17g' text is shorter, so the last byte is free for the separator;
@@ -73,11 +73,11 @@ _FIELD = 32
 class CurveDataset:
     """A named dataset of finite floats, one array per column, ready for serialization.
 
-    Its columns, one per name in ``columns``, come as a ``values`` table of one
-    row per sample or as ``arrays``. The arrays broadcast to one ``shape``,
-    whose cells in C order are the rows: a table's columns are 1-D, a Wigner
-    panel's are ``x[:, None]``, ``y[None, :]`` and its grid. ``values`` and
-    :meth:`column` copy the rows into a fresh array on each call.
+    ``arrays`` holds one array per name in ``columns``. The arrays broadcast
+    to one ``shape``, whose cells in C order are the rows: a table's columns
+    are 1-D (or 0-d, for one row), a Wigner panel's are ``x[:, None]``,
+    ``y[None, :]`` and its grid. ``values`` and :meth:`column` copy the rows
+    into a fresh array on each call.
     """
 
     tag: str
@@ -86,26 +86,17 @@ class CurveDataset:
     shape: tuple[int, ...]
     meta: dict
 
-    def __init__(self, tag: str, columns: Sequence[str], values: np.ndarray | None = None,
-                 meta: dict | None = None, *, arrays: Sequence[np.ndarray] | None = None) -> None:
+    def __init__(self, tag: str, columns: Sequence[str], *, arrays: Sequence[np.ndarray],
+                 meta: dict | None = None) -> None:
         import numpy as np
 
-        if (values is None) == (arrays is None):
-            raise TypeError("pass either a values table or column arrays")
-        if arrays is None:  # checked whole: a one-row table's columns cost more one by one
-            table = np.asarray(values, dtype=float)
-            arrays, shape = (tuple(table.T), table.shape[:1]) if table.ndim == 2 else ((), ())
-            finite = np.isfinite(table).all()
-        else:
-            arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
-            # (1,) makes a dataset of 0-d arrays one row
-            shape = np.broadcast_shapes((1,), *(a.shape for a in arrays))
-            finite = all(np.isfinite(a).all() for a in arrays)
+        arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
         if not 0 < len(columns) == len(arrays):
-            raise ValueError("values need one column per name, and at least one column")
+            raise ValueError("need one column array per name, and at least one column")
         if len(set(columns)) < len(columns):
             raise ValueError("column names must differ")
-        if not finite:
+        shape = np.broadcast_shapes((1,), *(a.shape for a in arrays))  # 0-d arrays make one row
+        if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
             raise ValueError("dataset contains non-finite entries")
         for name, value in zip(self.__dataclass_fields__,
                                (tag, tuple(columns), arrays, shape, {} if meta is None else meta)):
@@ -222,8 +213,8 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[bytes]:
 
     header = ("# " + json.dumps(_header_config(dataset, config), sort_keys=True) + "\n"
               + ",".join(dataset.columns) + "\n").encode()
-    shape, width = dataset.shape, len(dataset.arrays)
-    cells = math.prod(shape) * width
+    shape = dataset.shape
+    cells = math.prod(shape) * len(dataset.arrays)
     if cells < _FORMAT_MIN:  # one block of text
         text = "".join(",".join(map(format_float, row)) + "\n" for row in dataset.values.tolist())
         return iter((header, text.encode()))
@@ -246,24 +237,20 @@ def _csv_blocks(dataset: CurveDataset, config: dict | None) -> Iterator[bytes]:
     floats = np.concatenate(parts).view(float)
     del parts
     fields = np.zeros((len(floats), _FIELD), np.uint8)
-    inexact = np.ones(len(floats), bool)
-    if len(floats) >= _FORMAT_MIN:
-        for i in range(0, len(floats), _CHUNK_ROWS):
-            rows = slice(i, i + _CHUNK_ROWS)
-            inexact[rows] = ~_format_slice(floats[rows], fields[rows])
+    inexact = np.empty(len(floats), bool)
+    for i in range(0, len(floats), _CHUNK_ROWS):
+        rows = slice(i, i + _CHUNK_ROWS)
+        inexact[rows] = ~_format_slice(floats[rows], fields[rows])
     fallback = b"".join(format(x, _FLOAT_SPEC).encode().ljust(_FIELD, b"\0")
                         for x in floats[inexact].tolist())
     fields[inexact] = np.frombuffer(fallback, np.uint8).reshape(-1, _FIELD)
     fields[:, -1] = ord(",")
 
     def blocks() -> Iterator[bytes]:
-        cell_ids = [c if c.shape == shape else np.broadcast_to(c, shape) for c in ids]
+        cell_ids = [np.broadcast_to(c, shape) for c in ids]
         step = max(1, _CHUNK_ROWS // max(1, math.prod(shape[1:])))  # whole leading-axis rows
-        block_ids = np.empty((min(step, shape[0]), *shape[1:], width), ids[0].dtype)
         for start in range(0, shape[0], step):
-            rows = block_ids[:shape[0] - start]
-            for j, column_ids in enumerate(cell_ids):
-                rows[..., j] = column_ids[start:start + step]
+            rows = np.stack([c[start:start + step] for c in cell_ids], axis=-1)
             block = fields.take(rows, axis=0)
             block[..., -1, -1] = ord("\n")
             yield block.tobytes().translate(None, b"\0")

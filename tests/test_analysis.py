@@ -303,11 +303,11 @@ class TestCurveDataset:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            CurveDataset(tag="t", columns=("a", "b"), values=np.zeros((3, 3)), meta={})
+            CurveDataset(tag="t", columns=("a", "b"), arrays=np.zeros((3, 3)), meta={})
 
     def test_duplicate_column_names_rejected(self):
         with pytest.raises(ValueError, match="column names"):
-            CurveDataset(tag="t", columns=("a", "b", "a"), values=np.zeros((2, 3)))
+            CurveDataset(tag="t", columns=("a", "b", "a"), arrays=np.zeros((3, 2)))
 
     def test_phi_curves_with_one_label_rejected(self):
         phis = np.linspace(0.0, math.pi, 5)
@@ -317,6 +317,5 @@ class TestCurveDataset:
             fig5_dataset(phis, tan_thetas=(2.0, 2.0))
 
     def test_non_finite_rejected(self):
-        bad = np.array([[1.0, math.nan]])
-        with pytest.raises(ValueError):
-            CurveDataset(tag="t", columns=("a", "b"), values=bad, meta={})
+        with pytest.raises(ValueError, match="non-finite"):
+            CurveDataset(tag="t", columns=("a", "b"), arrays=([1.0], [math.nan]), meta={})

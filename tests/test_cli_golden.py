@@ -35,7 +35,7 @@ FIXTURE = Path(__file__).with_name("golden_cli.json")
 PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
 
 
-def case(case_id: str, *argv: str, setup: dict[str, str] | None = None) -> tuple:
+def case(case_id: str, *argv: str, setup: dict[str, str | bytes] | None = None) -> tuple:
     return case_id, list(argv), setup or {}
 
 
@@ -113,6 +113,11 @@ CASES = [
          setup=config({"grid": 4, "span": 2, "out": "panels"})),
     case("config-not-object", "prepare", "--config", "cfg.json", setup=config([1, 2])),
     case("config-not-json", "prepare", "--config", "cfg.json", setup={"cfg.json": "{"}),
+    # a config the parser cannot take is a config-file error too, not a traceback
+    case("config-nested-too-deep", "prepare", "--config", "cfg.json",
+         setup={"cfg.json": "[" * 10**5 + "]" * 10**5}),
+    case("config-not-utf8", "prepare", "--config", "cfg.json",
+         setup={"cfg.json": b'{"r": \xff1}'}),
     # the malformed-input cases of test_cli.py
     case("bad-missing-r", "displace"),
     case("bad-negative-r", "displace", "--r", "-1"),
@@ -220,10 +225,10 @@ def _isolated(workdir: Path):
                 os.environ[key] = value
 
 
-def run_case(argv: list[str], setup: dict[str, str], workdir: Path) -> dict:
+def run_case(argv: list[str], setup: dict[str, str | bytes], workdir: Path) -> dict:
     """Run one case in an empty ``workdir``; return its recorded outcome."""
     for name, text in setup.items():
-        (workdir / name).write_text(text, encoding="utf-8")
+        (workdir / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     out, err = io.StringIO(), io.StringIO()
     with _isolated(workdir), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))

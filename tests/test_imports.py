@@ -66,7 +66,7 @@ def test_csv_writing_loads_no_fractions_or_decimal(tmp_path):
         "numpy_on_import = 'numpy' in sys.modules\n"
         "import numpy as np\n"
         "values = np.linspace(-3.0, 3.0, 4 * io._CHUNK_ROWS).reshape(-1, 2) ** 3\n"
-        "io.write_dataset(io.CurveDataset('t', ('a', 'b'), values), sys.argv[1])\n"
+        "io.write_dataset(io.CurveDataset('t', ('a', 'b'), arrays=values.T), sys.argv[1])\n"
         "print(json.dumps({'numpy_on_import': numpy_on_import,\n"
         "                  'loaded': sorted({'fractions', 'decimal'} & set(sys.modules))}))\n"
     )

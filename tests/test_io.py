@@ -32,9 +32,8 @@ from cvcluster.io import (_CHUNK_ROWS, _FIELD, _FORMAT_MIN, _cell_dtype, _format
 
 @pytest.fixture
 def dataset():
-    values = np.array([[0.0, 0.5], [1.0, 1.0 / 3.0]])
     return CurveDataset(
-        tag="demo", columns=("a", "b"), values=values, meta={"note": "x"}
+        tag="demo", columns=("a", "b"), arrays=([0.0, 1.0], [0.5, 1.0 / 3.0]), meta={"note": "x"}
     )
 
 
@@ -50,7 +49,7 @@ class TestFormatting:
 
 def one_column_csv(values):
     """The CSV data rows of a one-column dataset of ``values``, one string each."""
-    dataset = CurveDataset(tag="t", columns=("v",), values=np.asarray(values)[:, None])
+    dataset = CurveDataset(tag="t", columns=("v",), arrays=(values,))
     return dataset_to_csv(dataset).split("\n")[2:-1]
 
 
@@ -122,9 +121,10 @@ class TestFormatFloats:
             {v.hex() for v in values if not 1e-280 <= abs(v) <= 1e280 or near_tie(v)})
         assert len(sent) > 7  # the ties among the neighbours of powers of ten as well
         sent.clear()
-        few = values[:_FORMAT_MIN - 1] * 2
-        one_column_csv(few)  # every float of a dataset below _FORMAT_MIN
-        assert sorted(map(float.hex, sent)) == sorted(set(map(float.hex, few)))
+        few = values[:_FORMAT_MIN - 1]
+        assert one_column_csv(few) == [format(v, ".17g") for v in few]
+        # every cell of a dataset below _FORMAT_MIN cells, in order
+        assert list(map(float.hex, sent)) == list(map(float.hex, few))
 
 
 class TestCsv:
@@ -241,11 +241,12 @@ DEDUP_CASES = {
 
 @st.composite
 def column_arrays(draw):
-    """1-4 column arrays that broadcast to an n x m grid: each n x m, n x 1, 1 x m or m long."""
+    """1-4 column arrays that broadcast to an n x m grid: each n x m, n x 1, 1 x m, m long or
+    0-d."""
     n, m = draw(st.integers(1, 12)), draw(st.integers(1, 30))
     pool = draw(st.lists(FINITE, min_size=1, max_size=4))
     elements = draw(st.sampled_from((FINITE, st.sampled_from(pool))))
-    shapes = st.sampled_from([(n, m), (n, 1), (1, m), (m,)])
+    shapes = st.sampled_from([(n, m), (n, 1), (1, m), (m,), ()])
     return [draw(hnp.arrays(np.float64, shape, elements=elements))
             for shape in draw(st.lists(shapes, min_size=1, max_size=4))]
 
@@ -262,23 +263,25 @@ GRID_CASES = {
 }
 
 
-def assert_forms_agree(arrays, columns):
-    """The column form of ``arrays`` gives the values, columns and bytes of its table."""
-    table = np.stack([a.ravel() for a in np.broadcast_arrays(*arrays)], axis=-1)
-    grid = CurveDataset(tag="t", columns=columns, arrays=arrays, meta={"m": 1})
-    rows = CurveDataset(tag="t", columns=columns, values=table, meta={"m": 1})
-    for dataset in (grid, rows):
-        assert dataset.values.shape == table.shape
-        assert dataset.values.tobytes() == table.tobytes()
-        for j, name in enumerate(columns):
-            assert dataset.column(name).tobytes() == table[:, j].tobytes()
-    text = dataset_to_csv(grid, {"k": 2})
-    assert_same_text(text, dataset_to_csv(rows, {"k": 2}))
-    assert dataset_to_json(grid, {"k": 2}) == dataset_to_json(rows, {"k": 2})
+def broadcast_table(arrays):
+    """The rows of ``arrays`` broadcast to one shape, in C order: one column per array."""
+    return np.stack([a.ravel() for a in np.broadcast_arrays(*arrays)], axis=-1)
+
+
+def assert_columns_match_their_table(arrays, columns):
+    """The dataset of ``arrays`` gives the values, columns and bytes of their broadcast table."""
+    table = broadcast_table(arrays)
+    dataset = CurveDataset(tag="t", columns=columns, arrays=arrays, meta={"m": 1})
+    assert dataset.values.shape == table.shape
+    assert dataset.values.tobytes() == table.tobytes()
+    for j, name in enumerate(columns):
+        assert dataset.column(name).tobytes() == table[:, j].tobytes()
+    text = dataset_to_csv(dataset, {"k": 2})
+    assert_same_text(text, reference_csv(dataset, {"k": 2}))
+    assert dataset_to_json(dataset, {"k": 2}) == reference_json(dataset, {"k": 2})
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_dataset(grid, Path(tmp) / "d.csv", "csv", {"k": 2})
+        path = write_dataset(dataset, Path(tmp) / "d.csv", "csv", {"k": 2})
         assert_same_text(path.read_bytes(), text.encode())
-    return rows
 
 
 def panel_write_peak(tmp_path, fmt, grid):
@@ -306,7 +309,7 @@ class TestCsvEncoder:
         columns = tuple(f"c{i}" for i in range(values.shape[1]))
         # below _FORMAT_MIN cells as drawn; tiled to more, the same floats are deduped
         tiled = np.tile(values, (-(-_FORMAT_MIN // values.size), 1))
-        for dataset in (CurveDataset(tag="t", columns=columns, values=v, meta={"m": 1})
+        for dataset in (CurveDataset(tag="t", columns=columns, arrays=v.T, meta={"m": 1})
                         for v in (values, tiled)):
             text = dataset_to_csv(dataset, {"k": 2})
             assert_same_text(text, reference_csv(dataset, {"k": 2}))
@@ -317,33 +320,41 @@ class TestCsvEncoder:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(column_arrays())
     @example([np.array([[0.0], [-0.0]]), np.array([-0.0, 0.0, 5e-324]), np.zeros((1, 3))])
+    @example([np.array(-0.0), np.array(5e-324)])  # 0-d columns alone make one row
     def test_column_form_matches_per_float_encoder(self, arrays):
-        rows = assert_forms_agree(arrays, tuple(f"c{i}" for i in range(len(arrays))))
-        assert_same_text(dataset_to_csv(rows, {"k": 2}), reference_csv(rows, {"k": 2}))
+        assert_columns_match_their_table(arrays, tuple(f"c{i}" for i in range(len(arrays))))
 
     @pytest.mark.parametrize("case", GRID_CASES)
     def test_grid_columns_match_their_table(self, case):
-        assert_forms_agree(GRID_CASES[case](), ("x", "y", "w"))
+        assert_columns_match_their_table(GRID_CASES[case](), ("x", "y", "w"))
 
-    @pytest.mark.parametrize("columns,arrays", [
-        (("x", "y", "w"), _grid(3, 4)[:2] + (np.full((3, 4), np.inf),)),
-        (("x", "y"), _grid(3, 4)),
-        (("x", "y", "w", "v"), _grid(3, 4)),
-        (("x", "y", "x"), _grid(3, 4)),
+    @pytest.mark.parametrize("columns,arrays,message", [
+        (("x", "y", "w"), _grid(3, 4)[:2] + (np.full((3, 4), np.inf),),
+         "dataset contains non-finite entries"),
+        (("x", "y"), _grid(3, 4), "need one column array per name, and at least one column"),
+        (("x", "y", "w", "v"), _grid(3, 4),
+         "need one column array per name, and at least one column"),
+        (("x", "y", "x"), _grid(3, 4), "column names must differ"),
     ])
-    def test_column_form_fails_like_table_form(self, columns, arrays):
-        table = np.stack([a.ravel() for a in np.broadcast_arrays(*arrays)], axis=-1)
-        with pytest.raises(ValueError) as by_rows:
-            CurveDataset(tag="t", columns=columns, values=table)
-        with pytest.raises(ValueError, match=str(by_rows.value)):
-            CurveDataset(tag="t", columns=columns, arrays=arrays)
+    def test_column_form_fails_like_table_form(self, columns, arrays, message):
+        # the grid's columns, and the 1-D columns of its table
+        for form in (arrays, broadcast_table(arrays).T):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                CurveDataset(tag="t", columns=columns, arrays=form)
 
     def test_columns_broadcast_to_one_shape(self):
         with pytest.raises(ValueError):
             CurveDataset(tag="t", columns=("a", "b"), arrays=(np.zeros(3), np.zeros(4)))
-        for both in ({}, {"values": np.zeros((3, 2)), "arrays": (np.zeros(3),) * 2}):
+
+    def test_a_table_of_rows_is_refused(self):
+        # a table is never read as columns: only the arrays keyword takes them
+        table = np.zeros((2, 2))
+        for call in (lambda: CurveDataset("t", ("a", "b"), table),
+                     lambda: CurveDataset("t", ("a", "b"), values=table),
+                     lambda: CurveDataset("t", ("a", "b"), table, arrays=table.T),
+                     lambda: CurveDataset("t", ("a", "b"))):
             with pytest.raises(TypeError):
-                CurveDataset(tag="t", columns=("a", "b"), **both)
+                call()
 
     @pytest.mark.parametrize("nx,ny", [(201, 201), (2, 3000), (3000, 1)])
     def test_blocks_hold_whole_grid_rows(self, nx, ny, monkeypatch):
@@ -363,7 +374,7 @@ class TestCsvEncoder:
             rng = np.random.default_rng(7)
             values = rng.choice(rng.normal(size=500), size=(2 * _CHUNK_ROWS + 3, len(columns)))
             values[::5, len(columns) // 2] = -0.0
-            dataset = CurveDataset(tag="t", columns=columns, values=values)
+            dataset = CurveDataset(tag="t", columns=columns, arrays=values.T)
             text = dataset_to_csv(dataset)
             assert_same_text(text, reference_csv(dataset))
             path = write_dataset(dataset, tmp_path / "d.csv", "csv")
@@ -375,7 +386,7 @@ class TestCsvEncoder:
         values[::7, 0] = rng.choice(SPECIAL_FLOATS, size=len(values[::7]))
         values[::5, 2] = np.round(values[::5, 2], 3)
         assert len(np.unique(values)) > 2 * _CHUNK_ROWS
-        dataset = CurveDataset(tag="t", columns=("a", "b", "c"), values=values)
+        dataset = CurveDataset(tag="t", columns=("a", "b", "c"), arrays=values.T)
         path = write_dataset(dataset, tmp_path / "d.csv", "csv", {"k": 2})
         assert_same_text(path.read_bytes(), reference_csv(dataset, {"k": 2}).encode())
 
@@ -385,7 +396,7 @@ class TestCsvEncoder:
         values[:, 1] = values[::-1, 0]  # the floats of column a, in another order
         values[::2, 2], values[::2, 3] = 0.0, -0.0
         values[1::2, 2], values[1::2, 3] = -0.0, 0.0
-        dataset = CurveDataset(tag="t", columns=("a", "b", "c", "d"), values=values)
+        dataset = CurveDataset(tag="t", columns=("a", "b", "c", "d"), arrays=values.T)
         assert_same_text(dataset_to_csv(dataset), reference_csv(dataset))
 
     @pytest.mark.parametrize("cells", [_FORMAT_MIN - 1, _FORMAT_MIN])
@@ -402,13 +413,11 @@ class TestCsvEncoder:
         values[::9] = values[0]  # repeats are not deduped below _FORMAT_MIN cells
         values = values[None, :] if one_row else values[:, None]
         dataset = CurveDataset(tag="t", columns=tuple(f"c{i}" for i in range(values.shape[1])),
-                               values=values)
+                               arrays=values.T)
         assert_same_text(dataset_to_csv(dataset), reference_csv(dataset))
-        # numpy formats a dataset of _FORMAT_MIN cells or more, if its columns hold as
-        # many distinct floats: here only the one-row dataset of _FORMAT_MIN columns
+        # numpy formats each column's distinct floats of a dataset of _FORMAT_MIN cells or more
         distinct = sum(len(np.unique(column)) for column in values.T)
-        assert sum(formatted) == (distinct if min(values.size, distinct) >= _FORMAT_MIN else 0)
-        assert (sum(formatted) > 0) == (cells == _FORMAT_MIN and one_row)
+        assert sum(formatted) == (distinct if cells >= _FORMAT_MIN else 0)
 
     @pytest.mark.parametrize("case", DEDUP_CASES)
     def test_dedup_cases(self, case, monkeypatch):
@@ -421,21 +430,16 @@ class TestCsvEncoder:
         monkeypatch.setattr(cvcluster.io, "_format_slice", spy)
         values = DEDUP_CASES[case]()
         arrays = values if isinstance(values, tuple) else tuple(values.T)
-        columns = tuple(f"c{i}" for i in range(len(arrays)))
-        dataset = (CurveDataset(tag="t", columns=columns, arrays=arrays)
-                   if isinstance(values, tuple) else
-                   CurveDataset(tag="t", columns=columns, values=values))
+        dataset = CurveDataset(tag="t", columns=tuple(f"c{i}" for i in range(len(arrays))),
+                               arrays=arrays)
         assert dataset.values.size >= _FORMAT_MIN  # so the columns are deduped
         assert_same_text(dataset_to_csv(dataset), reference_csv(dataset))
         # numpy formats the table of each column's distinct bit patterns in ascending order,
-        # in slices of _CHUNK_ROWS, if it holds at least _FORMAT_MIN floats
+        # in slices of _CHUNK_ROWS
         table = np.concatenate([np.unique(column.view(np.uint64)) for column in arrays])
-        if len(table) < _FORMAT_MIN:
-            assert formatted == []
-        else:
-            assert [len(x) for x in formatted] == [
-                min(_CHUNK_ROWS, len(table) - i) for i in range(0, len(table), _CHUNK_ROWS)]
-            assert np.concatenate(formatted).view(np.uint64).tolist() == table.tolist()
+        assert [len(x) for x in formatted] == [
+            min(_CHUNK_ROWS, len(table) - i) for i in range(0, len(table), _CHUNK_ROWS)]
+        assert np.concatenate(formatted).view(np.uint64).tolist() == table.tolist()
 
     @pytest.mark.parametrize("cells,dtype", [(_FORMAT_MIN, np.uint32), (2**32 - 1, np.uint32),
                                              (2**32, np.intp), (2**40, np.intp)])
@@ -466,27 +470,36 @@ class TestCsvEncoder:
         assert peak < 44, peak
 
     def test_many_cells_few_distinct_floats(self, monkeypatch):
-        monkeypatch.setattr(cvcluster.io, "_format_slice", None)  # never called
+        formatted = []
+
+        def spy(x, out):
+            formatted.append(len(x))
+            return _format_slice(x, out)
+
+        monkeypatch.setattr(cvcluster.io, "_format_slice", spy)
         rng = np.random.default_rng(8)
         values = rng.choice(rng.normal(size=60), size=(_FORMAT_MIN, 3))
         values[::4, 1] = -0.0
-        assert sum(len(np.unique(column)) for column in values.T) < _FORMAT_MIN
-        dataset = CurveDataset(tag="t", columns=("a", "b", "c"), values=values)
+        distinct = sum(len(np.unique(column.view(np.uint64))) for column in values.T)
+        assert distinct < _FORMAT_MIN
+        dataset = CurveDataset(tag="t", columns=("a", "b", "c"), arrays=values.T)
         assert_same_text(dataset_to_csv(dataset), reference_csv(dataset))
+        # _FORMAT_MIN cells, so numpy formats their few distinct floats
+        assert formatted == [distinct]
 
     def test_empty_dataset(self):
-        dataset = CurveDataset(tag="t", columns=("a", "b"), values=np.empty((0, 2)))
+        dataset = CurveDataset(tag="t", columns=("a", "b"), arrays=np.empty((2, 0)))
         assert_same_text(dataset_to_csv(dataset), reference_csv(dataset))
 
     @pytest.mark.parametrize("columns,shape", [((), (3, 0)), (("a",), (3, 2)), (("a",), (3,))])
     def test_values_need_one_column_per_name(self, columns, shape):
         # a row without columns would have no cell to end it
         with pytest.raises(ValueError):
-            CurveDataset(tag="t", columns=columns, values=np.zeros(shape))
+            CurveDataset(tag="t", columns=columns, arrays=np.zeros(shape).T)
 
     def test_datasets_compare_by_identity(self):
         # equal fields compared as a tuple would ask numpy arrays for one truth value
-        a, b = (CurveDataset(tag="t", columns=("a", "b"), values=np.zeros((3, 2)), meta={"m": 1})
+        a, b = (CurveDataset(tag="t", columns=("a", "b"), arrays=np.zeros((2, 3)), meta={"m": 1})
                 for _ in range(2))
         assert a == a and a != b and not a == b
         assert len({a, b, a}) == 2
@@ -501,7 +514,7 @@ def reference_json(dataset, config=None):
 
 def _table(rows, columns=3):
     values = np.random.default_rng(rows).normal(size=(rows, columns))
-    return CurveDataset(tag="t", columns=tuple("abc"[:columns]), values=values, meta={"m": 1})
+    return CurveDataset(tag="t", columns=tuple("abc"[:columns]), arrays=values.T, meta={"m": 1})
 
 
 #: Datasets whose rows fall on each side of a block seam, or hold floats whose text is
@@ -512,7 +525,7 @@ JSON_CASES = {
     "broadcast-panel": (lambda: _fig8_panels(grid_points=51)["output_control_r1"](), None),
     "special-floats": (lambda: CurveDataset(
         tag="t", columns=("a", "b"),
-        values=np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.0]])), {"k": -0.0}),
+        arrays=([-0.0, 1.7976931348623157e308], [5e-324, 0.0])), {"k": -0.0}),
     "non-ascii-config": (lambda: _table(2, 1), {"label": "Wigner W(x, p) · η = ½", "ü": "✓"}),
 }
 
@@ -571,7 +584,7 @@ def many_jobs(directory, fmt, rows=(1, 400, 30, 9, 5000, 30)):
     """(build, path) jobs of datasets of the given row counts, in order, each with its own file."""
     directory.mkdir(exist_ok=True)
     rng = np.random.default_rng(11)
-    datasets = [CurveDataset(tag=f"d{i}", columns=("a", "b", "c"), values=rng.normal(size=(n, 3)))
+    datasets = [CurveDataset(tag=f"d{i}", columns=("a", "b", "c"), arrays=rng.normal(size=(n, 3)).T)
                 for i, n in enumerate(rows)]
     return [(lambda d=d: d, directory / f"{d.tag}.{fmt}") for d in datasets]
 
